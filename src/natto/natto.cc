@@ -344,7 +344,10 @@ void NattoServer::PrepareNow(TxnState st, bool conditional,
     SimTime& t = key_order_ts_[k];
     t = std::max(t, st.txn.ts);
   }
-  if (conditional) stats_.conditional_prepares->Inc();
+  if (conditional) {
+    stats_.conditional_prepares->Inc();
+    conditions_.emplace(condition_on, id);
+  }
   const char* span_name = conditional ? "conditional_prepare" : "prepare";
   if (obs::Tracer* tr = engine_->cluster()->tracer()) {
     tr->SpanBegin(id, span_name, partition_, TrueNow());
@@ -488,12 +491,22 @@ void NattoServer::HandleAbort(TxnId id) {
 }
 
 void NattoServer::ResolveConditions(TxnId low, bool low_aborted) {
+  auto first = conditions_.lower_bound({low, 0});
+  auto last = first;
   std::vector<TxnId> conditioned;
-  for (auto& [id, st] : prepared_txns_) {
-    if (st.conditional && st.condition_on == low) conditioned.push_back(id);
+  for (; last != conditions_.end() && last->first == low; ++last) {
+    conditioned.push_back(last->second);
   }
+  if (conditioned.empty()) return;
+  conditions_.erase(first, last);
   for (TxnId id : conditioned) {
-    TxnState& st = prepared_txns_[id];
+    auto it = prepared_txns_.find(id);
+    // Stale pair: the CP aborted, or was discarded and re-prepared.
+    if (it == prepared_txns_.end() || !it->second.conditional ||
+        it->second.condition_on != low) {
+      continue;
+    }
+    TxnState& st = it->second;
     net::NodeId coord = st.txn.coordinator;
     int partition = partition_;
     if (low_aborted) {

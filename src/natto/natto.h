@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -156,7 +157,7 @@ class NattoServer : public net::Node {
   void RescanWaiting();
 
   /// Resolution of conditional prepares conditioned on `low` (which just
-  /// committed or aborted at this server).
+  /// committed or aborted at this server), looked up in conditions_.
   void ResolveConditions(TxnId low, bool low_aborted);
 
   /// Sec 3.3.1 refinement: expected completion time of `low` as seen here.
@@ -179,9 +180,13 @@ class NattoServer : public net::Node {
 
   std::map<OrderKey, TxnState> queue_;    // received, not yet processed
   std::map<OrderKey, TxnState> waiting_;  // processed high-pri, blocked
-  // Ordered: ResolveConditions() walks this map and the resulting message
-  // order must not depend on hash layout.
   std::map<TxnId, TxnState> prepared_txns_;
+  /// Conditional prepares by blocker: (condition_on, id) pairs, inserted by
+  /// PrepareNow(conditional=true) and taken out by ResolveConditions(low),
+  /// which visits the pairs for `low` in ascending id order. A pair may go
+  /// stale (its CP aborted or was re-prepared firmly); ResolveConditions
+  /// re-checks each one against prepared_txns_ before acting on it.
+  std::set<std::pair<TxnId, TxnId>> conditions_;
   std::unordered_set<TxnId> finished_;
   /// Largest prepare timestamp per key (late-arrival ordering checks).
   std::unordered_map<Key, SimTime> key_order_ts_;

@@ -23,8 +23,8 @@ Transport::Transport(sim::Simulator* simulator, const LatencyMatrix* matrix,
   link_free_at_.assign(static_cast<size_t>(n) * n, 0);
   // Lane 0 serves the serial kernel and the main thread; lanes 1..n serve
   // the parallel kernel's per-site workers. Pools are lazily chunked, so
-  // unused lanes cost one empty vector each.
-  envelope_pools_.resize(static_cast<size_t>(n) + 1);
+  // unused lanes cost one empty vector and a zeroed counter shard each.
+  lanes_.resize(static_cast<size_t>(n) + 1);
   if (batching_enabled()) {
     NATTO_CHECK(options_.max_batch_delay >= 0);
     link_batches_.assign(static_cast<size_t>(n) * n, LinkBatch{});
@@ -198,23 +198,45 @@ void Transport::SetLinkOverlay(int from_site, int to_site, double extra_loss,
       LinkOverlay{extra_loss, extra_delay, until};
 }
 
-void Transport::CountDrop(DropReason reason) {
-  ++messages_dropped_;
-  if (messages_dropped_metric_) messages_dropped_metric_->Inc();
+void Transport::CountDrop(Traffic& traffic, DropReason reason) {
+  ++traffic.messages_dropped;
   switch (reason) {
     case DropReason::kCrash:
-      ++dropped_crash_;
-      if (dropped_crash_metric_) dropped_crash_metric_->Inc();
+      ++traffic.dropped_crash;
       break;
     case DropReason::kPartition:
-      ++dropped_partition_;
-      if (dropped_partition_metric_) dropped_partition_metric_->Inc();
+      ++traffic.dropped_partition;
       break;
     case DropReason::kLoss:
-      ++dropped_loss_;
-      if (dropped_loss_metric_) dropped_loss_metric_->Inc();
+      ++traffic.dropped_loss;
       break;
   }
+}
+
+Transport::Lane& Transport::ThisLane() {
+  auto lane = static_cast<size_t>(simulator_->CurrentLane());
+  NATTO_DCHECK(lane < lanes_.size());
+  return lanes_[lane];
+}
+
+Transport::Traffic Transport::Totals() const {
+  Traffic sum;
+  for (const Lane& lane : lanes_) {
+    const Traffic& t = lane.traffic;
+    sum.messages_sent += t.messages_sent;
+    sum.bytes_sent += t.bytes_sent;
+    sum.messages_delivered += t.messages_delivered;
+    sum.messages_in_flight += t.messages_in_flight;
+    sum.delivery_drops += t.delivery_drops;
+    sum.messages_dropped += t.messages_dropped;
+    sum.messages_lost += t.messages_lost;
+    sum.dropped_crash += t.dropped_crash;
+    sum.dropped_partition += t.dropped_partition;
+    sum.dropped_loss += t.dropped_loss;
+    sum.batches_sent += t.batches_sent;
+    sum.stall_deferrals += t.stall_deferrals;
+  }
+  return sum;
 }
 
 SimTime& Transport::LinkFreeAt(int from_site, int to_site) {
@@ -247,10 +269,7 @@ double Transport::EffectiveLinkRate(int from_site, int to_site) const {
   return rate;
 }
 
-Transport::Envelope* Transport::AllocEnvelope() {
-  auto lane = static_cast<size_t>(simulator_->CurrentLane());
-  NATTO_DCHECK(lane < envelope_pools_.size());
-  EnvelopePool& pool = envelope_pools_[lane];
+Transport::Envelope* Transport::AllocEnvelope(EnvelopePool& pool) {
   if (pool.free == nullptr) {
     constexpr int kChunk = 64;
     pool.chunks.push_back(std::make_unique<Envelope[]>(kChunk));
@@ -266,6 +285,7 @@ Transport::Envelope* Transport::AllocEnvelope() {
 }
 
 void Transport::Deliver(Envelope* env) {
+  Lane& lane = ThisLane();
   // Stall re-check before anything touches the envelope: a service message
   // arriving at a stalled node sits in its receive queue until the stall
   // ends (deferred, not dropped — it stays in flight and keeps its FIFO
@@ -275,8 +295,7 @@ void Transport::Deliver(Envelope* env) {
       static_cast<size_t>(env->to) < node_degrade_.size()) {
     SimTime stall_until = node_degrade_[env->to].stall_until;
     if (stall_until > simulator_->Now()) {
-      ++stall_deferrals_;
-      if (stall_deferrals_metric_) stall_deferrals_metric_->Inc();
+      ++lane.traffic.stall_deferrals;
       ScheduleWireDelivery(stall_until, env);
       return;
     }
@@ -300,13 +319,11 @@ void Transport::Deliver(Envelope* env) {
   const int sa = env->from_site;
   const int sb = env->to_site;
   const NodeId to = env->to;
-  EnvelopePool& pool =
-      envelope_pools_[static_cast<size_t>(simulator_->CurrentLane())];
-  env->next = pool.free;
-  pool.free = env;
+  env->next = lane.pool.free;
+  lane.pool.free = env;
 
-  NATTO_DCHECK(messages_in_flight_ > 0);
-  --messages_in_flight_;
+  Traffic& traffic = lane.traffic;
+  --traffic.messages_in_flight;
 
   // The delivery-time checks re-validate against faults injected while the
   // message was in flight: a receiver that crashed before delivery eats the
@@ -315,19 +332,16 @@ void Transport::Deliver(Envelope* env) {
   // (they did enter the network) and additionally count under
   // delivery_drops, keeping sent == delivered + in_flight + delivery_drops.
   if (node_crashed_[to]) {
-    ++delivery_drops_;
-    if (delivery_drops_metric_) delivery_drops_metric_->Inc();
-    CountDrop(DropReason::kCrash);
+    ++traffic.delivery_drops;
+    CountDrop(traffic, DropReason::kCrash);
     return;
   }
   if (!partition_mask_.empty() && IsSitePartitioned(sa, sb)) {
-    ++delivery_drops_;
-    if (delivery_drops_metric_) delivery_drops_metric_->Inc();
-    CountDrop(DropReason::kPartition);
+    ++traffic.delivery_drops;
+    CountDrop(traffic, DropReason::kPartition);
     return;
   }
-  ++messages_delivered_;
-  if (messages_delivered_metric_) messages_delivered_metric_->Inc();
+  ++traffic.messages_delivered;
   deliver();
 }
 
@@ -394,9 +408,9 @@ void Transport::FlushLink(int from_site, int to_site) {
   batch.framed_bytes = 0;
   batch.count = 0;
 
-  ++batches_sent_;
-  if (batches_sent_metric_) {
-    batches_sent_metric_->Inc();
+  Traffic& traffic = ThisLane().traffic;
+  ++traffic.batches_sent;
+  if (msgs_per_batch_metric_) {
     msgs_per_batch_metric_->Record(static_cast<double>(count));
   }
 
@@ -436,8 +450,7 @@ void Transport::FlushLink(int from_site, int to_site) {
     bool first = true;
     SimDuration rto = options_.retransmit_timeout;
     while (rng_.Bernoulli(options_.packet_loss)) {
-      ++messages_lost_;
-      if (messages_lost_metric_) messages_lost_metric_->Inc();
+      ++traffic.messages_lost;
       if (first) {
         delay += std::max<SimDuration>(rtt, Millis(1));
         first = false;
@@ -487,11 +500,13 @@ void Transport::Send(NodeId from, NodeId to, size_t bytes,
                      sim::EventFn deliver, MessageClass cls) {
   NATTO_DCHECK(from >= 0 && from < num_nodes());
   NATTO_DCHECK(to >= 0 && to < num_nodes());
+  Lane& lane = ThisLane();
+  Traffic& traffic = lane.traffic;
   // A crashed endpoint means nothing enters the network: count the message
   // as a drop, not as sent traffic (a crashed sender must not inflate the
   // traffic stats).
   if (node_crashed_[from] || node_crashed_[to]) {
-    CountDrop(DropReason::kCrash);
+    CountDrop(traffic, DropReason::kCrash);
     return;
   }
 
@@ -509,8 +524,7 @@ void Transport::Send(NodeId from, NodeId to, size_t bytes,
       static_cast<size_t>(from) < node_degrade_.size()) {
     SimTime stall_until = node_degrade_[from].stall_until;
     if (stall_until > now) {
-      ++stall_deferrals_;
-      if (stall_deferrals_metric_) stall_deferrals_metric_->Inc();
+      ++traffic.stall_deferrals;
       simulator_->ScheduleAt(  // NOLINT(natto-batch-bypass)
           stall_until,
           [this, from, to, bytes, d = std::move(deliver), cls]() mutable {
@@ -522,7 +536,7 @@ void Transport::Send(NodeId from, NodeId to, size_t bytes,
 
   // Site-pair blackhole: nothing crosses a partitioned path.
   if (!partition_mask_.empty() && IsSitePartitioned(sa, sb)) {
-    CountDrop(DropReason::kPartition);
+    CountDrop(traffic, DropReason::kPartition);
     return;
   }
 
@@ -539,7 +553,7 @@ void Transport::Send(NodeId from, NodeId to, size_t bytes,
       } else {
         if (it->second.extra_loss > 0.0 &&
             rng_.Bernoulli(it->second.extra_loss)) {
-          CountDrop(DropReason::kLoss);
+          CountDrop(traffic, DropReason::kLoss);
           return;
         }
         overlay_delay = it->second.extra_delay;
@@ -547,19 +561,15 @@ void Transport::Send(NodeId from, NodeId to, size_t bytes,
     }
   }
 
-  ++messages_sent_;
-  ++messages_in_flight_;
+  ++traffic.messages_sent;
+  ++traffic.messages_in_flight;
   if (batching_enabled()) {
     // Batching stage: the message joins the open batch for its directed
     // site pair and is charged framed wire bytes; the wire-cost model runs
     // once per batch at flush time.
     size_t framed = bytes + options_.framing_bytes_per_message;
-    bytes_sent_ += framed;
-    if (messages_sent_metric_) {
-      messages_sent_metric_->Inc();
-      bytes_sent_metric_->Inc(static_cast<int64_t>(framed));
-    }
-    Envelope* env = AllocEnvelope();
+    traffic.bytes_sent += static_cast<int64_t>(framed);
+    Envelope* env = AllocEnvelope(lane.pool);
     env->from_site = sa;
     env->to_site = sb;
     env->to = to;
@@ -570,15 +580,10 @@ void Transport::Send(NodeId from, NodeId to, size_t bytes,
     EnqueueBatched(sa, sb, env, framed);
     return;
   }
-  bytes_sent_ += bytes;
-  if (messages_sent_metric_) {
-    messages_sent_metric_->Inc();
-    bytes_sent_metric_->Inc(static_cast<int64_t>(bytes));
-  }
+  traffic.bytes_sent += static_cast<int64_t>(bytes);
   // Unbatched: every message is its own wire frame (the msgs_per_batch
   // histogram stays empty — it only describes real coalescing).
-  ++batches_sent_;
-  if (batches_sent_metric_) batches_sent_metric_->Inc();
+  ++traffic.batches_sent;
 
   // Link serialization under the capacity model.
   SimTime depart = now;
@@ -605,8 +610,7 @@ void Transport::Send(NodeId from, NodeId to, size_t bytes,
     bool first = true;
     SimDuration rto = options_.retransmit_timeout;
     while (rng_.Bernoulli(options_.packet_loss)) {
-      ++messages_lost_;
-      if (messages_lost_metric_) messages_lost_metric_->Inc();
+      ++traffic.messages_lost;
       if (first) {
         delay += std::max<SimDuration>(rtt, Millis(1));
         first = false;
@@ -625,7 +629,7 @@ void Transport::Send(NodeId from, NodeId to, size_t bytes,
                      ? arrival
                      : ServiceDone(to, bytes, arrival, now);
 
-  Envelope* env = AllocEnvelope();
+  Envelope* env = AllocEnvelope(lane.pool);
   env->from_site = sa;
   env->to_site = sb;
   env->to = to;
@@ -638,29 +642,21 @@ void Transport::Send(NodeId from, NodeId to, size_t bytes,
 
 void Transport::RegisterMetrics(obs::MetricsRegistry* registry) {
   NATTO_CHECK(registry != nullptr);
-  messages_sent_metric_ = registry->GetCounter("net.messages_sent");
-  bytes_sent_metric_ = registry->GetCounter("net.bytes_sent");
-  messages_delivered_metric_ = registry->GetCounter("net.messages_delivered");
-  messages_dropped_metric_ = registry->GetCounter("net.messages_dropped");
-  messages_lost_metric_ = registry->GetCounter("net.messages_lost");
-  dropped_crash_metric_ = registry->GetCounter("net.dropped.crash");
-  dropped_partition_metric_ = registry->GetCounter("net.dropped.partition");
-  dropped_loss_metric_ = registry->GetCounter("net.dropped.loss");
-  delivery_drops_metric_ = registry->GetCounter("net.dropped.in_flight");
-  batches_sent_metric_ = registry->GetCounter("net.batches_sent");
-  stall_deferrals_metric_ = registry->GetCounter("net.stall_deferrals");
   msgs_per_batch_metric_ = registry->GetHistogram("net.msgs_per_batch");
-  messages_sent_metric_->Inc(static_cast<int64_t>(messages_sent_));
-  bytes_sent_metric_->Inc(static_cast<int64_t>(bytes_sent_));
-  messages_delivered_metric_->Inc(static_cast<int64_t>(messages_delivered_));
-  messages_dropped_metric_->Inc(static_cast<int64_t>(messages_dropped_));
-  messages_lost_metric_->Inc(static_cast<int64_t>(messages_lost_));
-  dropped_crash_metric_->Inc(static_cast<int64_t>(dropped_crash_));
-  dropped_partition_metric_->Inc(static_cast<int64_t>(dropped_partition_));
-  dropped_loss_metric_->Inc(static_cast<int64_t>(dropped_loss_));
-  delivery_drops_metric_->Inc(static_cast<int64_t>(delivery_drops_));
-  batches_sent_metric_->Inc(static_cast<int64_t>(batches_sent_));
-  stall_deferrals_metric_->Inc(static_cast<int64_t>(stall_deferrals_));
+  registry->AddSource([this](obs::MetricsSnapshot* snap) {
+    const Traffic t = Totals();
+    snap->counters["net.messages_sent"] += t.messages_sent;
+    snap->counters["net.bytes_sent"] += t.bytes_sent;
+    snap->counters["net.messages_delivered"] += t.messages_delivered;
+    snap->counters["net.messages_dropped"] += t.messages_dropped;
+    snap->counters["net.messages_lost"] += t.messages_lost;
+    snap->counters["net.dropped.crash"] += t.dropped_crash;
+    snap->counters["net.dropped.partition"] += t.dropped_partition;
+    snap->counters["net.dropped.loss"] += t.dropped_loss;
+    snap->counters["net.dropped.in_flight"] += t.delivery_drops;
+    snap->counters["net.batches_sent"] += t.batches_sent;
+    snap->counters["net.stall_deferrals"] += t.stall_deferrals;
+  });
 }
 
 }  // namespace natto::net

@@ -1,7 +1,6 @@
 #ifndef NATTO_NET_TRANSPORT_H_
 #define NATTO_NET_TRANSPORT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -194,13 +193,15 @@ class Transport {
   void SetLinkOverlay(int from_site, int to_site, double extra_loss,
                       SimDuration extra_delay, SimTime until);
 
-  /// Mirrors the traffic counters into `registry` (`net.messages_sent`,
+  /// Publishes the traffic counters through `registry` (`net.messages_sent`,
   /// `net.bytes_sent`, `net.messages_delivered`, `net.messages_dropped`,
   /// `net.messages_lost`, the per-reason split
   /// `net.dropped.{loss,crash,partition}`, the delivery-time subset
   /// `net.dropped.in_flight`, and the batching pair `net.batches_sent` /
-  /// `net.msgs_per_batch`). Optional: transports built directly in tests
-  /// skip this.
+  /// `net.msgs_per_batch`). The counters are a registry source: each
+  /// Snapshot() pulls the lane shards' sums, so the transport must outlive
+  /// the registry's last snapshot. Optional: transports built directly in
+  /// tests skip this.
   void RegisterMetrics(obs::MetricsRegistry* registry);
 
   sim::Simulator* simulator() { return simulator_; }
@@ -216,38 +217,67 @@ class Transport {
   ///   messages_sent == messages_delivered + messages_in_flight
   ///                    + delivery_drops
   /// holds after every Send/Deliver (net_test and fault_test assert it,
-  /// including under chaos schedules).
-  uint64_t messages_sent() const { return messages_sent_; }
-  uint64_t bytes_sent() const { return bytes_sent_; }
-  uint64_t messages_delivered() const { return messages_delivered_; }
+  /// including under chaos schedules). Every accessor sums the per-lane
+  /// shards, so call them from the main thread, outside parallel windows.
+  uint64_t messages_sent() const { return Count(&Traffic::messages_sent); }
+  uint64_t bytes_sent() const { return Count(&Traffic::bytes_sent); }
+  uint64_t messages_delivered() const {
+    return Count(&Traffic::messages_delivered);
+  }
   /// Messages sent but not yet resolved: queued in an open batch, or
   /// scheduled on the wire.
-  uint64_t messages_in_flight() const { return messages_in_flight_; }
+  uint64_t messages_in_flight() const {
+    return Count(&Traffic::messages_in_flight);
+  }
   /// Delivery-time drops (a subset of messages_dropped).
-  uint64_t delivery_drops() const { return delivery_drops_; }
-  uint64_t messages_dropped() const { return messages_dropped_; }
-  uint64_t messages_lost() const { return messages_lost_; }
+  uint64_t delivery_drops() const { return Count(&Traffic::delivery_drops); }
+  uint64_t messages_dropped() const {
+    return Count(&Traffic::messages_dropped);
+  }
+  uint64_t messages_lost() const { return Count(&Traffic::messages_lost); }
 
   /// Wire frames actually emitted. With batching off this equals
   /// messages_sent (every message is its own frame); with batching on it
   /// counts flushed batches, so messages_sent / batches_sent is the
   /// amortization factor benches report as msgs-per-wire-frame.
-  uint64_t batches_sent() const { return batches_sent_; }
+  uint64_t batches_sent() const { return Count(&Traffic::batches_sent); }
 
   /// Service messages whose processing (or emission) was deferred by an
   /// active `stall` gray fault. Deferred messages stay in flight — the
   /// accounting invariant above is unchanged by stalls.
-  uint64_t stall_deferrals() const { return stall_deferrals_; }
+  uint64_t stall_deferrals() const {
+    return Count(&Traffic::stall_deferrals);
+  }
 
   /// Drop attribution: dropped == dropped_crash + dropped_partition +
   /// dropped_loss (overlay hard drops; baseline packet loss is modeled as
   /// retransmission delay and counted under messages_lost instead).
-  uint64_t dropped_crash() const { return dropped_crash_; }
-  uint64_t dropped_partition() const { return dropped_partition_; }
-  uint64_t dropped_loss() const { return dropped_loss_; }
+  uint64_t dropped_crash() const { return Count(&Traffic::dropped_crash); }
+  uint64_t dropped_partition() const {
+    return Count(&Traffic::dropped_partition);
+  }
+  uint64_t dropped_loss() const { return Count(&Traffic::dropped_loss); }
 
  private:
   enum class DropReason { kCrash, kPartition, kLoss };
+
+  /// Traffic counters of one execution lane (see Lane). A message may be
+  /// sent on one lane and delivered on another, so a shard's in-flight
+  /// count can go negative; only sums across lanes are meaningful.
+  struct Traffic {
+    int64_t messages_sent = 0;
+    int64_t bytes_sent = 0;
+    int64_t messages_delivered = 0;
+    int64_t messages_in_flight = 0;
+    int64_t delivery_drops = 0;
+    int64_t messages_dropped = 0;
+    int64_t messages_lost = 0;
+    int64_t dropped_crash = 0;
+    int64_t dropped_partition = 0;
+    int64_t dropped_loss = 0;
+    int64_t batches_sent = 0;
+    int64_t stall_deferrals = 0;
+  };
 
   /// One in-flight message. Envelopes are pool-owned and recycled at
   /// delivery (or drop), so a ping-pong storm reuses the same few nodes;
@@ -281,7 +311,26 @@ class Transport {
     sim::Simulator::EventId timer_id = 0;
   };
 
-  Envelope* AllocEnvelope();
+  /// Envelope pool: chunked storage plus an intrusive free list. An
+  /// envelope may be allocated on one lane and recycled on another — the
+  /// storage chunks outlive the transport either way.
+  struct EnvelopePool {
+    std::vector<std::unique_ptr<Envelope[]>> chunks;
+    Envelope* free = nullptr;
+  };
+
+  /// Everything Send/Deliver write, one instance per execution lane (lane 0
+  /// = main thread / serial kernel; 1 + site on the parallel kernel's
+  /// worker lanes). Each lane writes only its own cache-line-aligned
+  /// instance, so concurrent lanes neither race nor share a written line,
+  /// and the counters are plain integers. Readers sum the shards from the
+  /// main thread, after the kernel's window barrier has published them.
+  struct alignas(64) Lane {
+    EnvelopePool pool;
+    Traffic traffic;
+  };
+
+  Envelope* AllocEnvelope(EnvelopePool& pool);
   /// Runs the delivery-time fault re-checks, recycles `env`, and invokes
   /// the closure (unless the message was eaten by a crash/partition).
   void Deliver(Envelope* env);
@@ -300,7 +349,14 @@ class Transport {
   /// it (enforced by the nattolint natto-batch-bypass rule).
   void ScheduleWireDelivery(SimTime at, Envelope* env);
 
-  void CountDrop(DropReason reason);
+  void CountDrop(Traffic& traffic, DropReason reason);
+  /// State of the calling thread's execution lane.
+  Lane& ThisLane();
+  /// Traffic counters summed over all lanes.
+  Traffic Totals() const;
+  uint64_t Count(int64_t Traffic::*field) const {
+    return static_cast<uint64_t>(Totals().*field);
+  }
   /// Serialization start bookkeeping per directed site pair.
   SimTime& LinkFreeAt(int from_site, int to_site);
 
@@ -351,46 +407,11 @@ class Transport {
   /// runs. Ordered map: iteration order must not depend on hash layout.
   std::map<std::pair<int, int>, LinkOverlay> link_overlays_;
 
-  /// Traffic counters are atomics so Send/Deliver may run on the parallel
-  /// kernel's worker lanes (each message is sent and delivered once, so
-  /// relaxed RMW totals are exact; cross-thread ordering comes from the
-  /// kernel's window barrier). Serial cost: one locked add on x86.
-  std::atomic<uint64_t> messages_sent_{0};
-  std::atomic<uint64_t> bytes_sent_{0};
-  std::atomic<uint64_t> messages_delivered_{0};
-  std::atomic<uint64_t> messages_in_flight_{0};
-  std::atomic<uint64_t> delivery_drops_{0};
-  std::atomic<uint64_t> messages_dropped_{0};
-  std::atomic<uint64_t> messages_lost_{0};
-  std::atomic<uint64_t> dropped_crash_{0};
-  std::atomic<uint64_t> dropped_partition_{0};
-  std::atomic<uint64_t> dropped_loss_{0};
-  std::atomic<uint64_t> batches_sent_{0};
-  std::atomic<uint64_t> stall_deferrals_{0};
+  /// Indexed by Simulator::CurrentLane().
+  std::vector<Lane> lanes_;
 
-  /// Envelope pool: chunked storage plus an intrusive free list, one pool
-  /// per execution lane (lane 0 = main thread / serial kernel; 1 + site on
-  /// worker lanes) so concurrent Send/Deliver never share a free list. An
-  /// envelope may be allocated on one lane and recycled on another — the
-  /// storage chunks outlive the transport either way.
-  struct EnvelopePool {
-    std::vector<std::unique_ptr<Envelope[]>> chunks;
-    Envelope* free = nullptr;
-  };
-  std::vector<EnvelopePool> envelope_pools_;
-
-  // Registry mirrors; null until RegisterMetrics.
-  obs::Counter* messages_sent_metric_ = nullptr;
-  obs::Counter* bytes_sent_metric_ = nullptr;
-  obs::Counter* messages_delivered_metric_ = nullptr;
-  obs::Counter* messages_dropped_metric_ = nullptr;
-  obs::Counter* messages_lost_metric_ = nullptr;
-  obs::Counter* dropped_crash_metric_ = nullptr;
-  obs::Counter* dropped_partition_metric_ = nullptr;
-  obs::Counter* dropped_loss_metric_ = nullptr;
-  obs::Counter* delivery_drops_metric_ = nullptr;
-  obs::Counter* batches_sent_metric_ = nullptr;
-  obs::Counter* stall_deferrals_metric_ = nullptr;
+  /// Registry histogram; null until RegisterMetrics. Recorded only by the
+  /// batcher, which never runs site-parallel.
   obs::Histogram* msgs_per_batch_metric_ = nullptr;
 };
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 namespace natto::obs {
 
@@ -124,6 +125,10 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   return histograms_[name] = &histogram_storage_.back();
 }
 
+void MetricsRegistry::AddSource(Source source) {
+  sources_.push_back(std::move(source));
+}
+
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snap;
   for (const auto& [name, c] : counters_) snap.counters[name] = c->value();
@@ -135,6 +140,7 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     d.sum = h->sum();
     snap.histograms[name] = d;
   }
+  for (const Source& source : sources_) source(&snap);
   return snap;
 }
 

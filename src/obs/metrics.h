@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -88,14 +89,19 @@ struct MetricsSnapshot {
 };
 
 /// Registry of named metrics. One registry per simulation cell (owned by the
-/// Cluster): engines, the transport, lock tables and the harness client all
-/// register their instruments here instead of keeping ad-hoc stat fields.
-/// Get-or-create by name: components that share a name share the instrument.
-/// Registration and Snapshot() are not thread-safe — components register at
-/// construction and snapshot after the run, both on the main thread. Counter
-/// increments through handles are atomic, so worker-lane callbacks under the
-/// parallel kernel may bump them concurrently; the parallel experiment
-/// runner additionally gives every cell its own registry.
+/// Cluster): engines, lock tables and the harness client register their
+/// instruments here instead of keeping ad-hoc stat fields. Get-or-create by
+/// name: components that share a name share the instrument. Components that
+/// keep their own lane-local totals (the transport) register a source
+/// instead, which Snapshot() pulls.
+///
+/// Registration, AddSource() and Snapshot() are not thread-safe: components
+/// register at construction and snapshot after the run, both on the main
+/// thread. Counter increments through handles are atomic, so worker-lane
+/// callbacks under the parallel kernel may bump them concurrently; sources
+/// are read only by Snapshot(), after the kernel's window barrier. The
+/// parallel experiment runner additionally gives every cell its own
+/// registry.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -105,6 +111,15 @@ class MetricsRegistry {
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
+
+  /// Pull hook: `source` adds its counters to a snapshot (summing into any
+  /// registry counter of the same name). Snapshot() calls every source, in
+  /// registration order, after copying the registry's own instruments. A
+  /// source should write each of its names on every call, zeros included,
+  /// so the rendering does not depend on what the run happened to do. The
+  /// source must stay callable until the registry's last Snapshot().
+  using Source = std::function<void(MetricsSnapshot*)>;
+  void AddSource(Source source);
 
   MetricsSnapshot Snapshot() const;
 
@@ -116,6 +131,7 @@ class MetricsRegistry {
   std::map<std::string, Counter*> counters_;
   std::map<std::string, Gauge*> gauges_;
   std::map<std::string, Histogram*> histograms_;
+  std::vector<Source> sources_;
 };
 
 }  // namespace natto::obs

@@ -46,12 +46,10 @@ void RaftReplica::SetCrashed(bool crashed) {
   if (crashed_ == crashed) return;
   crashed_ = crashed;
   if (crashed_) {
-    // Leader-side callbacks for uncommitted entries die with the process.
-    pending_callbacks_.erase(
-        std::remove_if(
-            pending_callbacks_.begin(), pending_callbacks_.end(),
-            [this](const auto& p) { return p.first > commit_index_; }),
-        pending_callbacks_.end());
+    // Leader-side callbacks and propose timestamps for uncommitted entries
+    // die with the process.
+    DropUncommittedCallbacks();
+    propose_times_.clear();
     return;
   }
   // Restart as a follower: term, log and vote survive (persisted state);
@@ -73,6 +71,11 @@ Status RaftReplica::Propose(PayloadId payload,
   }
   log_.push_back(LogEntry{term_, payload});
   uint64_t index = log_.size();
+  // Both FIFOs stay sorted by index: entries above commit_index_ are
+  // trimmed whenever leadership ends, and a log never shrinks below it.
+  NATTO_DCHECK(pending_callbacks_.empty() ||
+               pending_callbacks_.back().first < index);
+  NATTO_DCHECK(propose_times_.empty() || propose_times_.back().first < index);
   if (on_committed) pending_callbacks_.emplace_back(index, std::move(on_committed));
   if (options_.fail_away_commit_latency > 0) {
     propose_times_.emplace_back(index, TrueNow());
@@ -145,10 +148,7 @@ void RaftReplica::BecomeFollower(uint64_t term) {
   // Leader-side callbacks for uncommitted entries will never fire on this
   // replica; drop them (engines treat missing callbacks as lost leadership,
   // which only matters in fault tests).
-  pending_callbacks_.erase(
-      std::remove_if(pending_callbacks_.begin(), pending_callbacks_.end(),
-                     [this](const auto& p) { return p.first > commit_index_; }),
-      pending_callbacks_.end());
+  DropUncommittedCallbacks();
 }
 
 void RaftReplica::ResetElectionTimer() {
@@ -449,10 +449,7 @@ void RaftReplica::StepDown() {
   commit_latency_ewma_ = -1.0;
   // voted_for_ is kept: stepping down does not entitle this node to a
   // second vote in the same term.
-  pending_callbacks_.erase(
-      std::remove_if(pending_callbacks_.begin(), pending_callbacks_.end(),
-                     [this](const auto& p) { return p.first > commit_index_; }),
-      pending_callbacks_.end());
+  DropUncommittedCallbacks();
   last_heartbeat_seen_ = TrueNow();
   ResetElectionTimer();
 }
@@ -562,37 +559,37 @@ void RaftReplica::AdvanceCommit() {
 }
 
 void RaftReplica::ApplyCommitted() {
-  // Fail-away bookkeeping: resolve propose timestamps for entries that just
-  // committed and fold them into the commit-latency EWMA.
-  if (!propose_times_.empty()) {
-    size_t keep = 0;
-    for (size_t i = 0; i < propose_times_.size(); ++i) {
-      if (propose_times_[i].first <= commit_index_) {
-        double sample =
-            static_cast<double>(TrueNow() - propose_times_[i].second);
-        commit_latency_ewma_ = commit_latency_ewma_ < 0
-                                   ? sample
-                                   : 0.8 * commit_latency_ewma_ + 0.2 * sample;
-      } else {
-        propose_times_[keep++] = propose_times_[i];
-      }
-    }
-    propose_times_.resize(keep);
+  // Fail-away bookkeeping: fold the propose timestamps of entries that just
+  // committed into the commit-latency EWMA, in index order.
+  while (!propose_times_.empty() &&
+         propose_times_.front().first <= commit_index_) {
+    double sample =
+        static_cast<double>(TrueNow() - propose_times_.front().second);
+    commit_latency_ewma_ = commit_latency_ewma_ < 0
+                               ? sample
+                               : 0.8 * commit_latency_ewma_ + 0.2 * sample;
+    propose_times_.pop_front();
   }
   while (applied_index_ < commit_index_) {
     ++applied_index_;
     if (on_apply_) on_apply_(log_[static_cast<size_t>(applied_index_) - 1].payload);
   }
-  // Fire leader-side completion callbacks for newly committed entries.
-  auto it = pending_callbacks_.begin();
-  while (it != pending_callbacks_.end()) {
-    if (it->first <= commit_index_) {
-      auto cb = std::move(it->second);
-      it = pending_callbacks_.erase(it);
-      cb();
-    } else {
-      ++it;
-    }
+  // Fire leader-side completion callbacks for newly committed entries. The
+  // callback is moved out and popped before it runs, so it may re-enter
+  // Propose (appending to the back) or advance commit_index_; the loop
+  // re-reads both on every step.
+  while (!pending_callbacks_.empty() &&
+         pending_callbacks_.front().first <= commit_index_) {
+    std::function<void()> cb = std::move(pending_callbacks_.front().second);
+    pending_callbacks_.pop_front();
+    cb();
+  }
+}
+
+void RaftReplica::DropUncommittedCallbacks() {
+  while (!pending_callbacks_.empty() &&
+         pending_callbacks_.back().first > commit_index_) {
+    pending_callbacks_.pop_back();
   }
 }
 

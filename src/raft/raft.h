@@ -2,6 +2,7 @@
 #define NATTO_RAFT_RAFT_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -196,6 +197,9 @@ class RaftReplica : public net::Node {
   void MaybeSendTo(size_t peer_index, bool force = false);
   void AdvanceCommit();
   void ApplyCommitted();
+  /// Trims callbacks of entries above commit_index_ off the back of the
+  /// FIFO: their leader-side completion will never run on this replica.
+  void DropUncommittedCallbacks();
   void ResetElectionTimer();
   void HeartbeatTick();
 
@@ -230,8 +234,10 @@ class RaftReplica : public net::Node {
   uint64_t applied_index_ = 0;
 
   std::vector<PeerState> peer_state_;
-  // Callbacks for locally proposed entries, keyed by log index.
-  std::vector<std::pair<uint64_t, std::function<void()>>> pending_callbacks_;
+  // Callbacks for locally proposed entries, a FIFO in log-index order:
+  // ApplyCommitted pops committed entries off the front, and losing
+  // leadership trims uncommitted ones off the back.
+  std::deque<std::pair<uint64_t, std::function<void()>>> pending_callbacks_;
   std::function<void(PayloadId)> on_apply_;
   std::function<void(RaftReplica*)> on_became_leader_;
 
@@ -256,7 +262,7 @@ class RaftReplica : public net::Node {
   // outstanding propose timestamps by log index, the commit-latency EWMA in
   // micros (< 0 until the first sample), and a cooldown so one slow window
   // triggers one transfer, not a storm.
-  std::vector<std::pair<uint64_t, SimTime>> propose_times_;
+  std::deque<std::pair<uint64_t, SimTime>> propose_times_;
   double commit_latency_ewma_ = -1.0;
   SimTime fail_away_cooldown_until_ = 0;
 

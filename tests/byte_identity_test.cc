@@ -16,10 +16,14 @@
 #include <vector>
 
 #include "harness/experiment.h"
+#include "harness/parallel_runner.h"
+#include "harness/stats.h"
 #include "harness/systems.h"
+#include "net/latency_matrix.h"
 #include "sim/dsan.h"
 #include "txn/cluster.h"
 #include "txn/topology.h"
+#include "workload/retwis.h"
 #include "workload/ycsbt.h"
 
 namespace natto::harness {
@@ -500,6 +504,128 @@ TEST(ByteIdentityTest, InertGrayKnobsLeaveFailoverChaosGoldenUntouched) {
   });
   ASSERT_EQ(unsetenv("NATTO_JOBS"), 0);
   CompareOrWriteGolden("failover_chaos_tiny.golden", rendered);
+}
+
+// ---------------------------------------------------------------------------
+// Saturated Fig 14 golden
+// ---------------------------------------------------------------------------
+// Fig 14's cell past the capacity knee (Natto-RECSF, LocalTriangle, 25 us of
+// server CPU per message, 11k txn/s), cut short. The growing backlog keeps
+// raft commit callbacks, the prepared-transaction tables and transport
+// traffic at their busiest, so the rendering pins the commit path's ordering
+// together with every registry counter (net.*, raft.*, natto.server.*).
+
+ExperimentConfig SaturatedConfig() {
+  ExperimentConfig config;
+  config.matrix = net::LatencyMatrix::LocalTriangle();
+  config.num_partitions = 6;
+  config.num_replicas = 3;
+  config.clients_per_site = 2;
+  config.input_rate_tps = 11000;
+  config.cluster.transport.node_cost_per_message = Micros(25);
+  config.duration = Millis(1000);
+  config.warmup = Millis(250);
+  config.cooldown = Millis(250);
+  config.drain = Millis(1500);
+  config.repeats = 2;
+  return config;
+}
+
+WorkloadFactory SaturatedWorkload() {
+  return []() {
+    workload::RetwisWorkload::Options o;
+    o.uniform_keys = true;
+    return std::make_unique<workload::RetwisWorkload>(o);
+  };
+}
+
+/// Counts plus full-precision latency percentiles of one run, followed by
+/// its metrics snapshot.
+std::string RenderRun(const RunStats& s) {
+  std::string out;
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "committed=%lld/%lld aborted=%lld user_aborted=%lld "
+                "failed=%lld/%lld\n",
+                static_cast<long long>(s.committed_high),
+                static_cast<long long>(s.committed_low),
+                static_cast<long long>(s.aborted_attempts),
+                static_cast<long long>(s.user_aborted),
+                static_cast<long long>(s.failed_high),
+                static_cast<long long>(s.failed_low));
+  out += buf;
+  for (const auto* lats : {&s.latencies_high_ms, &s.latencies_low_ms}) {
+    std::snprintf(buf, sizeof(buf),
+                  "n=%zu mean=%.17g p50=%.17g p95=%.17g p99=%.17g\n",
+                  lats->size(), Mean(*lats), Percentile(*lats, 0.5),
+                  Percentile(*lats, 0.95), Percentile(*lats, 0.99));
+    out += buf;
+  }
+  out += s.metrics.ToJson();
+  out += '\n';
+  return out;
+}
+
+/// Runs the saturated cell's repeats through a ParallelRunner sized by
+/// NATTO_JOBS, with NATTO_SIM_THREADS set to `sim_threads`, both read
+/// through the harness's env path.
+void RunSaturatedAndRender(const char* jobs, const char* sim_threads,
+                           std::string* out) {
+  ASSERT_EQ(setenv("NATTO_JOBS", jobs, /*overwrite=*/1), 0);
+  ASSERT_EQ(setenv("NATTO_SIM_THREADS", sim_threads, /*overwrite=*/1), 0);
+  ExperimentConfig config = SaturatedConfig();
+  ApplyEnvOverrides(&config);
+  ASSERT_EQ(unsetenv("NATTO_SIM_THREADS"), 0);
+  ASSERT_EQ(config.cluster.sim_threads, std::atoi(sim_threads));
+  const System system = MakeSystem(SystemKind::kNattoRecsf);
+  std::vector<RunStats> runs(static_cast<size_t>(config.repeats));
+  std::vector<std::function<void()>> tasks;
+  for (size_t r = 0; r < runs.size(); ++r) {
+    tasks.push_back([&, r]() {
+      runs[r] = RunOnce(config, system, SaturatedWorkload(),
+                        CellSeed(config.seed, 0, 0, static_cast<int>(r)));
+    });
+  }
+  ParallelRunner(/*jobs=*/0).Run(std::move(tasks));
+  ASSERT_EQ(unsetenv("NATTO_JOBS"), 0);
+  out->clear();
+  for (const RunStats& s : runs) *out += RenderRun(s);
+}
+
+TEST(ByteIdentityTest, SaturatedFig14TinyConfigIsSiteParallelEligible) {
+  // Keeps the NATTO_SIM_THREADS case below from passing vacuously on the
+  // degenerate serial loop.
+  ExperimentConfig config = SaturatedConfig();
+  config.cluster.sim_threads = 3;
+  txn::Topology topology = txn::Topology::Spread(
+      config.num_partitions, config.num_replicas, config.matrix.num_sites());
+  txn::Cluster probe(config.matrix, topology, config.cluster);
+  EXPECT_TRUE(probe.SiteParallelEligible());
+  EXPECT_TRUE(probe.simulator()->site_parallel());
+}
+
+TEST(ByteIdentityTest, SaturatedFig14TinyMatchesGoldenSerially) {
+  std::string rendered;
+  RunSaturatedAndRender("1", "1", &rendered);
+  // The golden must cover the counters the commit path bumps.
+  for (const char* key : {"\"net.messages_sent\":", "\"net.messages_delivered\":",
+                          "\"raft.entries_per_append\":",
+                          "\"natto.server.p0.cp_failed\":"}) {
+    EXPECT_NE(rendered.find(key), std::string::npos) << key;
+  }
+  CompareOrWriteGolden("retwis_saturated_tiny.golden", rendered);
+}
+
+TEST(ByteIdentityTest, SaturatedFig14TinyMatchesGoldenAtJobs8) {
+  std::string rendered;
+  RunSaturatedAndRender("8", "1", &rendered);
+  CompareOrWriteGolden("retwis_saturated_tiny.golden", rendered);
+}
+
+TEST(ByteIdentityTest, SaturatedFig14TinyMatchesGoldenAtSimThreads3) {
+  std::string rendered;
+  RunSaturatedAndRender("1", "3", &rendered);
+  CompareOrWriteGolden("retwis_saturated_tiny.golden", rendered);
 }
 
 TEST(ByteIdentityTest, SerialParallelAndRerunTablesAreByteIdentical) {

@@ -218,6 +218,111 @@ TEST(NattoTest, CpIsFasterThanWaiting) {
   EXPECT_LT(with_cp, without_cp);
 }
 
+// --- Several conditional prepares on one blocker ----------------------------
+
+// Drives partition 1's server (leader at WA) directly. Low transaction L
+// prepares keys {1, 6} here and also writes key 2 on partition 2. Two high
+// transactions each conflict with L on one local key (H1 on 1, H2 on 6) and
+// on key 2, where they are estimated to reach partition 2 before L's
+// timestamp, so both are conditionally prepared on L here.
+class MultiCpTest : public ::testing::Test {
+ protected:
+  static NattoOptions Options() {
+    NattoOptions o = NattoOptions::Cp();
+    o.pa_completion_estimate = false;
+    return o;
+  }
+
+  void SetUp() override {
+    cluster_->simulator()->RunUntil(Seconds(1));
+    Prepare(kLow, txn::Priority::kLow, {1, 6, 2}, 0);
+    ASSERT_TRUE(server_->prepared().Contains(kLow));
+    Prepare(kHigh1, txn::Priority::kHigh, {1, 2}, low_ts_ - Millis(1));
+    Prepare(kHigh2, txn::Priority::kHigh, {6, 2}, low_ts_ - Millis(1));
+    ASSERT_EQ(server_->stats().conditional_prepares, 2u);
+    ASSERT_TRUE(server_->prepared().Contains(kHigh1));
+    ASSERT_TRUE(server_->prepared().Contains(kHigh2));
+  }
+
+  /// Hands `id` to the server with a timestamp 1 ms ahead and runs past it.
+  /// `arrival_at_2` is the estimated arrival at partition 2 (0 = the ts).
+  void Prepare(TxnId id, txn::Priority priority, std::vector<Key> keys,
+               SimTime arrival_at_2) {
+    NattoWireTxn w;
+    w.id = id;
+    w.priority = priority;
+    w.read_set = keys;
+    w.write_set = keys;
+    w.ts = cluster_->simulator()->Now() + Millis(1);
+    w.est_arrivals = {{1, w.ts}, {2, arrival_at_2 > 0 ? arrival_at_2 : w.ts}};
+    w.coordinator = engine_.coordinator_at(1)->id();
+    w.client = engine_.gateway_at(1)->id();
+    w.coordinator_site = 1;
+    if (id == kLow) low_ts_ = w.ts;
+    server_->HandleReadPrepare(w);
+    cluster_->simulator()->RunUntil(w.ts + Millis(10));
+  }
+
+  uint64_t MessagesSent() { return cluster_->transport()->messages_sent(); }
+
+  static constexpr TxnId kLow = MakeTxnId(1, 1);
+  static constexpr TxnId kHigh1 = MakeTxnId(2, 1);
+  static constexpr TxnId kHigh2 = MakeTxnId(3, 1);
+
+  std::unique_ptr<txn::Cluster> cluster_ = MakeCluster();
+  NattoEngine engine_{cluster_.get(), Options()};
+  NattoServer* server_ = engine_.server(1);
+  SimTime low_ts_ = 0;
+};
+
+TEST_F(MultiCpTest, LowAbortSatisfiesEveryConditionalPrepare) {
+  const uint64_t before = MessagesSent();
+  server_->HandleAbort(kLow);
+  // One resolution message per CP, nothing else.
+  EXPECT_EQ(MessagesSent() - before, 2u);
+  NattoServer::Stats s = server_->stats();
+  EXPECT_EQ(s.cp_satisfied, 2u);
+  EXPECT_EQ(s.cp_failed, 0u);
+  EXPECT_TRUE(server_->prepared().Contains(kHigh1));
+  EXPECT_TRUE(server_->prepared().Contains(kHigh2));
+}
+
+TEST_F(MultiCpTest, LowCommitFailsEveryConditionalPrepare) {
+  server_->HandleCommit(kLow, {{1, 1}, {6, 1}});
+  NattoServer::Stats s = server_->stats();
+  EXPECT_EQ(s.cp_failed, 2u);
+  EXPECT_EQ(s.cp_satisfied, 0u);
+  // Both went back to waiting and, with L gone, were re-prepared firmly on
+  // the normal path.
+  EXPECT_EQ(server_->waiting_size(), 0u);
+  EXPECT_TRUE(server_->prepared().Contains(kHigh1));
+  EXPECT_TRUE(server_->prepared().Contains(kHigh2));
+  EXPECT_FALSE(server_->prepared().Contains(kLow));
+  EXPECT_EQ(s.conditional_prepares, 2u);
+}
+
+TEST_F(MultiCpTest, AbortedConditionalPrepareSendsNoResolution) {
+  server_->HandleAbort(kHigh1);
+  const uint64_t before = MessagesSent();
+  server_->HandleAbort(kLow);
+  EXPECT_EQ(MessagesSent() - before, 1u) << "only H2's CP may resolve";
+  NattoServer::Stats s = server_->stats();
+  EXPECT_EQ(s.cp_satisfied, 1u);
+  EXPECT_EQ(s.cp_failed, 0u);
+  EXPECT_FALSE(server_->prepared().Contains(kHigh1));
+}
+
+TEST_F(MultiCpTest, AbortedConditionalPrepareIsNotRequeuedOnLowCommit) {
+  server_->HandleAbort(kHigh1);
+  server_->HandleCommit(kLow, {{1, 1}, {6, 1}});
+  NattoServer::Stats s = server_->stats();
+  EXPECT_EQ(s.cp_failed, 1u);
+  EXPECT_EQ(s.cp_satisfied, 0u);
+  EXPECT_EQ(server_->waiting_size(), 0u);
+  EXPECT_FALSE(server_->prepared().Contains(kHigh1));
+  EXPECT_TRUE(server_->prepared().Contains(kHigh2));
+}
+
 // --- ECSF (Figs 5, 6) --------------------------------------------------------
 
 TEST(NattoTest, LecsfServesCommittedUnreplicatedState) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <functional>
+#include <vector>
 
 #include "net/delay_estimator.h"
 #include "net/delay_model.h"
@@ -8,6 +11,7 @@
 #include "net/node.h"
 #include "net/prober.h"
 #include "net/transport.h"
+#include "sim/parallel_kernel.h"
 
 namespace natto::net {
 namespace {
@@ -139,6 +143,55 @@ TEST(TransportTest, CrashedNodeDropsMessages) {
   f.transport.Send(a, b, 10, [&]() { delivered = true; });
   f.simulator.Run();
   EXPECT_FALSE(delivered);
+}
+
+TEST(TransportTest, LaneShardsKeepTheAccountingInvariantSiteParallel) {
+  // Traffic counters live in per-lane shards; under the site-parallel
+  // kernel a message is sent on its sender's lane and delivered on its
+  // receiver's, so only the sums balance. Five tokens circle the five
+  // sites, and the invariant is checked on the summed shards between
+  // windows and after the drain.
+  sim::Simulator simulator;
+  LatencyMatrix matrix = LatencyMatrix::AzureFive();
+  simulator.ConfigureParallel(sim::ParallelOptions{
+      3, matrix.num_sites(), Millis(20), /*track_cancel_ids=*/true});
+  ASSERT_TRUE(simulator.site_parallel());
+  Transport transport{&simulator, &matrix, MakeConstantDelay(),
+                      TransportOptions{}, 1};
+  std::vector<NodeId> nodes;
+  for (int s = 0; s < matrix.num_sites(); ++s) {
+    nodes.push_back(transport.AddNode(s));
+  }
+  constexpr int kHops = 200;
+  std::atomic<int> worker_deliveries{0};
+  std::function<void(int, int)> hop = [&](int at, int left) {
+    if (simulator.CurrentLane() != 0) ++worker_deliveries;
+    if (left == 0) return;
+    const int next = (at + 1) % static_cast<int>(nodes.size());
+    transport.Send(nodes[static_cast<size_t>(at)],
+                   nodes[static_cast<size_t>(next)], 64,
+                   [&hop, next, left]() { hop(next, left - 1); });
+  };
+  for (int s = 0; s < matrix.num_sites(); ++s) {
+    simulator.ScheduleAtSite(s, 0, [&hop, s]() { hop(s, kHops); });
+  }
+  bool saw_in_flight = false;
+  while (simulator.pending_events() > 0) {
+    simulator.RunUntil(simulator.Now() + Millis(250));
+    saw_in_flight |= transport.messages_in_flight() > 0;
+    ASSERT_EQ(transport.messages_sent(),
+              transport.messages_delivered() + transport.messages_in_flight() +
+                  transport.delivery_drops());
+  }
+  EXPECT_TRUE(saw_in_flight);
+  EXPECT_GT(worker_deliveries.load(), 0) << "nothing ran on a worker lane";
+  const auto total = static_cast<uint64_t>(kHops * matrix.num_sites());
+  EXPECT_EQ(transport.messages_sent(), total);
+  EXPECT_EQ(transport.messages_delivered(), total);
+  EXPECT_EQ(transport.messages_in_flight(), 0u);
+  EXPECT_EQ(transport.delivery_drops(), 0u);
+  EXPECT_EQ(transport.bytes_sent(), 64 * total);
+  EXPECT_EQ(transport.batches_sent(), total);
 }
 
 TEST(TransportTest, PacketLossAddsRetransmitPenalty) {

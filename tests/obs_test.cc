@@ -150,6 +150,43 @@ TEST(MetricsTest, GetOrCreateSharesInstrumentsAndSnapshotsMerge) {
   EXPECT_EQ(json, merged.ToJson());
 }
 
+TEST(MetricsTest, SourcesAreFoldedIntoSnapshotsAndMerge) {
+  obs::MetricsRegistry reg;
+  reg.GetCounter("x.count")->Inc(3);
+  int64_t pulled = 0;
+  int calls = 0;
+  reg.AddSource([&](obs::MetricsSnapshot* snap) {
+    ++calls;
+    snap->counters["src.pulled"] += pulled;
+    snap->counters["src.zero"] += 0;
+    snap->counters["x.count"] += 4;  // sums with the registry counter
+  });
+
+  pulled = 7;
+  obs::MetricsSnapshot s = reg.Snapshot();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(s.counter("src.pulled"), 7);
+  EXPECT_EQ(s.counter("x.count"), 7);
+  // Zero-valued source counters are rendered like zero registry counters.
+  ASSERT_EQ(s.counters.count("src.zero"), 1u);
+  EXPECT_NE(s.ToJson().find("\"src.zero\":0"), std::string::npos);
+
+  // Sources are pulled afresh at every snapshot.
+  pulled = 9;
+  obs::MetricsSnapshot later = reg.Snapshot();
+  EXPECT_EQ(later.counter("src.pulled"), 9);
+
+  obs::MetricsSnapshot merged;
+  merged.runs = 0;
+  merged.MergeFrom(s);
+  merged.MergeFrom(later);
+  EXPECT_EQ(merged.counter("src.pulled"), 16);
+  EXPECT_EQ(merged.counter("x.count"), 14);
+  EXPECT_EQ(merged.counter("src.zero"), 0);
+  EXPECT_NE(merged.ToJson().find("\"src.zero\":0"), std::string::npos);
+  EXPECT_EQ(merged.runs, 2);
+}
+
 ExperimentConfig ContendedConfig() {
   ExperimentConfig config;
   config.input_rate_tps = 60;

@@ -12,6 +12,7 @@
 // contract: cross-site schedules land at Now() + lookahead or later, and
 // worker-side cancels only target the canceller's own site.
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -268,15 +269,19 @@ TEST(ParallelKernelTest, DegenerateModeIsByteIdenticalToSerial) {
 TEST(ParallelKernelTest, CrossSiteScheduleAtLookaheadFiresInOrder) {
   Simulator sim;
   sim.ConfigureParallel(ParallelOptions{4, 2, kLookahead, true});
-  std::vector<int> order;
+  // One log per site: the 1 ms and 2 ms events share a window and run
+  // concurrently on their own lanes, so they must not share a container.
+  using Log = std::vector<std::pair<SimTime, int>>;
+  Log site0, site1;
   sim.ScheduleAtSite(0, Millis(1), [&]() {
-    order.push_back(0);
+    site0.emplace_back(sim.Now(), 0);
     sim.ScheduleAtSite(1, sim.Now() + kLookahead,
-                       [&]() { order.push_back(2); });
+                       [&]() { site1.emplace_back(sim.Now(), 2); });
   });
-  sim.ScheduleAtSite(1, Millis(2), [&]() { order.push_back(1); });
+  sim.ScheduleAtSite(1, Millis(2), [&]() { site1.emplace_back(sim.Now(), 1); });
   sim.Run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(site0, (Log{{Millis(1), 0}}));
+  EXPECT_EQ(site1, (Log{{Millis(2), 1}, {Millis(1) + kLookahead, 2}}));
   EXPECT_EQ(sim.Now(), Millis(1) + kLookahead);
   EXPECT_EQ(sim.executed_events(), 3u);
 }
@@ -284,7 +289,7 @@ TEST(ParallelKernelTest, CrossSiteScheduleAtLookaheadFiresInOrder) {
 TEST(ParallelKernelTest, InWindowScheduleThenCancelNeverFires) {
   Simulator sim;
   sim.ConfigureParallel(ParallelOptions{4, 2, kLookahead, true});
-  int fired = 0;
+  std::atomic<int> fired{0};  // bumped from concurrent site lanes
   bool cancel_ok = false;
   sim.ScheduleAtSite(0, Millis(1), [&]() {
     // Lands inside the current window on the same site (a live insert into
@@ -296,7 +301,7 @@ TEST(ParallelKernelTest, InWindowScheduleThenCancelNeverFires) {
   sim.ScheduleAtSite(1, Millis(1), [&]() { ++fired; });
   sim.Run();
   EXPECT_TRUE(cancel_ok);
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(fired.load(), 1);
   // The cancelled event was discarded without executing or advancing time.
   EXPECT_EQ(sim.executed_events(), 2u);
   EXPECT_EQ(sim.Now(), Millis(1));
@@ -305,7 +310,7 @@ TEST(ParallelKernelTest, InWindowScheduleThenCancelNeverFires) {
 TEST(ParallelKernelTest, StopFromWorkerTakesEffectAtTheBarrier) {
   Simulator sim;
   sim.ConfigureParallel(ParallelOptions{4, 4, kLookahead, true});
-  int fired = 0;
+  std::atomic<int> fired{0};  // bumped from concurrent site lanes
   // One event per site inside a single window; site 2's callback stops the
   // run. The whole window still completes (its merged outcome must be
   // deterministic), then Run() returns with the later events pending.
@@ -317,10 +322,10 @@ TEST(ParallelKernelTest, StopFromWorkerTakesEffectAtTheBarrier) {
     sim.ScheduleAtSite(s, Millis(50) + s, [&fired]() { ++fired; });
   }
   sim.Run();
-  EXPECT_EQ(fired, 4) << "the in-flight window completes before stopping";
+  EXPECT_EQ(fired.load(), 4) << "the in-flight window completes before stopping";
   EXPECT_EQ(sim.pending_events(), 4u);
   sim.Run();  // resume drains the rest
-  EXPECT_EQ(fired, 8);
+  EXPECT_EQ(fired.load(), 8);
   EXPECT_EQ(sim.pending_events(), 0u);
   EXPECT_EQ(sim.Now(), Millis(50) + 3);
 }
@@ -328,18 +333,18 @@ TEST(ParallelKernelTest, StopFromWorkerTakesEffectAtTheBarrier) {
 TEST(ParallelKernelTest, RunUntilStopsWindowsAtTheLimit) {
   Simulator sim;
   sim.ConfigureParallel(ParallelOptions{4, 2, kLookahead, true});
-  int fired = 0;
+  std::atomic<int> fired{0};  // bumped from concurrent site lanes
   sim.ScheduleAtSite(0, Millis(3), [&]() { ++fired; });
   sim.ScheduleAtSite(1, Millis(3), [&]() { ++fired; });
   sim.ScheduleAtSite(0, Millis(3) + 1, [&]() { ++fired; });
   sim.RunUntil(Millis(3));
   // Events exactly at the limit fire; the one just past it stays queued
   // even though the lookahead window would have covered it.
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(fired.load(), 2);
   EXPECT_EQ(sim.Now(), Millis(3));
   EXPECT_EQ(sim.pending_events(), 1u);
   sim.Run();
-  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(fired.load(), 3);
   EXPECT_EQ(sim.Now(), Millis(3) + 1);
 }
 

@@ -118,6 +118,34 @@ TEST_F(RaftFixture, SingleReplicaGroupCommitsImmediately) {
   EXPECT_TRUE(committed);
 }
 
+TEST_F(RaftFixture, ReentrantProposeFromCommitCallback) {
+  // Regression: a commit callback that proposes on the same leader grows the
+  // callback list while ApplyCommitted is walking it. Entries 1 and 2
+  // commit together; entry 1's callback proposes 100 more, which must all
+  // commit and fire in index order.
+  auto g = MakeGroup({0, 1, 2});
+  RaftReplica* leader = g->leader();
+  std::vector<int> fired;
+  ASSERT_TRUE(leader
+                  ->Propose(1,
+                            [&]() {
+                              fired.push_back(1);
+                              for (int i = 3; i <= 102; ++i) {
+                                ASSERT_TRUE(leader
+                                                ->Propose(i, [&fired, i]() {
+                                                  fired.push_back(i);
+                                                })
+                                                .ok());
+                              }
+                            })
+                  .ok());
+  ASSERT_TRUE(leader->Propose(2, [&]() { fired.push_back(2); }).ok());
+  simulator.Run();
+  ASSERT_EQ(fired.size(), 102u);
+  for (int i = 0; i < 102; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i + 1);
+  EXPECT_EQ(leader->commit_index(), 102u);
+}
+
 TEST_F(RaftFixture, ManyEntriesCommitInOrderOnAllReplicas) {
   auto g = MakeGroup({0, 1, 2});
   std::vector<std::vector<PayloadId>> applied(3);
