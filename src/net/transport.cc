@@ -34,18 +34,13 @@ Transport::Transport(sim::Simulator* simulator, const LatencyMatrix* matrix,
     // worker lanes; every stateful wire model touched at send time (batch
     // FIFOs, link serialization clocks, the loss/jitter RNG —
     // min_scale_factor() == 1 iff the model never draws) would race or
-    // diverge from serial order. The node CPU-cost model is the exception:
-    // in deferred mode its state is per receiver and touched only at
-    // delivery on the receiver's own lane, so it is site-confined.
-    bool node_cpu_ok = options_.deferred_node_service ||
-                       (options_.node_cost_per_message == 0 &&
-                        options_.node_cost_per_kib == 0);
+    // diverge from serial order. The node CPU-cost model is site-confined:
+    // its state is per receiver and touched only on the receiver's lane.
     NATTO_CHECK(!batching_enabled() && options_.packet_loss == 0.0 &&
-                options_.link_bandwidth_bytes_per_sec == 0.0 && node_cpu_ok &&
+                options_.link_bandwidth_bytes_per_sec == 0.0 &&
                 delay_model_->min_scale_factor() == 1.0)
         << "site-parallel simulation requires the stateless transport fast "
-           "path (no batching, loss, capacity, or random delays; CPU cost "
-           "only with deferred_node_service)";
+           "path (no batching, loss, capacity, or random delays)";
   }
 }
 
@@ -152,8 +147,8 @@ SimTime Transport::NodeStallUntil(NodeId node) const {
   return until > simulator_->Now() ? until : 0;
 }
 
-SimTime Transport::ServiceDone(NodeId to, size_t bytes, SimTime arrival,
-                               SimTime now) {
+SimTime Transport::ServiceDone(NodeId to, size_t bytes) {
+  const SimTime now = simulator_->Now();
   bool queue = options_.node_cost_per_message > 0 ||
                options_.node_cost_per_kib > 0;
   SimDuration cost =
@@ -170,15 +165,15 @@ SimTime Transport::ServiceDone(NodeId to, size_t bytes, SimTime arrival,
       cost = static_cast<SimDuration>(static_cast<double>(base) *
                                       d.slow_factor);
       queue = true;
-    } else if (!queue && node_free_at_[to] > arrival) {
+    } else if (!queue && node_free_at_[to] > now) {
       // The slow window has expired but its backlog hasn't drained: keep
       // new arrivals FIFO behind it instead of letting them overtake
       // messages queued during the fault.
       queue = true;
     }
   }
-  if (!queue) return arrival;
-  SimTime start = std::max(arrival, node_free_at_[to]);
+  if (!queue) return now;
+  SimTime start = std::max(now, node_free_at_[to]);
   node_free_at_[to] = start + cost;
   return start + cost;
 }
@@ -300,15 +295,14 @@ void Transport::Deliver(Envelope* env) {
       return;
     }
   }
-  // Deferred service: destination CPU queueing applies here, at wire
-  // arrival on the receiver's lane, instead of at send time. node_free_at_
-  // is then only ever touched by the owning site's lane (site-parallel
-  // safe), with arrival order as the FIFO discipline.
-  if (options_.deferred_node_service && !env->serviced) {
+  // Destination CPU queueing applies here, at wire arrival on the
+  // receiver's lane: node_free_at_ is only ever touched by the owning
+  // site's lane (site-parallel safe), with arrival order as the FIFO
+  // discipline.
+  if (!env->serviced) {
     env->serviced = true;
-    SimTime now = simulator_->Now();
-    SimTime done = ServiceDone(env->to, env->bytes, now, now);
-    if (done > now) {
+    SimTime done = ServiceDone(env->to, env->bytes);
+    if (done > simulator_->Now()) {
       ScheduleWireDelivery(done, env);
       return;
     }
@@ -464,17 +458,14 @@ void Transport::FlushLink(int from_site, int to_site) {
   SimTime arrival = depart + delay;
 
   // Unpack in FIFO order: destination CPU queueing stays per message (the
-  // receiver still parses every message in the frame), and equal-time
-  // deliveries keep their enqueue order through the kernel's FIFO tie
-  // break.
+  // receiver still parses every message in the frame, at arrival), and
+  // equal-time deliveries keep their enqueue order through the kernel's
+  // FIFO tie break.
   Envelope* env = head;
   while (env != nullptr) {
     Envelope* next = env->next;
     env->next = nullptr;
-    SimTime done = options_.deferred_node_service
-                       ? arrival
-                       : ServiceDone(env->to, env->bytes, arrival, now);
-    ScheduleWireDelivery(done, env);
+    ScheduleWireDelivery(arrival, env);
     env = next;
   }
 }
@@ -621,14 +612,8 @@ void Transport::Send(NodeId from, NodeId to, size_t bytes,
     }
   }
 
-  SimTime arrival = depart + delay;
-
-  // Destination CPU queueing (plus fail-slow stretch when active); in
-  // deferred mode it is applied by Deliver() on the receiver's lane.
-  SimTime done = options_.deferred_node_service
-                     ? arrival
-                     : ServiceDone(to, bytes, arrival, now);
-
+  // Destination CPU queueing (plus fail-slow stretch when active) is
+  // applied by Deliver() at arrival, on the receiver's lane.
   Envelope* env = AllocEnvelope(lane.pool);
   env->from_site = sa;
   env->to_site = sb;
@@ -637,7 +622,7 @@ void Transport::Send(NodeId from, NodeId to, size_t bytes,
   env->ping = cls == MessageClass::kPing;
   env->serviced = false;
   env->deliver = std::move(deliver);
-  ScheduleWireDelivery(done, env);
+  ScheduleWireDelivery(depart + delay, env);
 }
 
 void Transport::RegisterMetrics(obs::MetricsRegistry* registry) {

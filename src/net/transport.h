@@ -44,26 +44,16 @@ struct TransportOptions {
   double tcp_mss_bytes = 1460.0;
 
   /// CPU cost a node pays to process one received message; 0 disables the
-  /// server-capacity model. Nodes are FIFO servers: messages queue when the
-  /// node is busy. This is what bounds peak throughput in Fig 14 and makes
-  /// Carousel's leaders the bottleneck at high retry rates.
+  /// server-capacity model. Nodes are FIFO servers in wire-arrival order:
+  /// a message that arrives while its receiver is busy queues behind the
+  /// backlog. Service is charged at arrival, on the receiver's own lane, so
+  /// a node's queue is site-confined state. This is what bounds peak
+  /// throughput in Fig 14 and makes Carousel's leaders the bottleneck at
+  /// high retry rates.
   SimDuration node_cost_per_message = 0;
 
   /// Additional CPU cost per KiB of message payload.
   SimDuration node_cost_per_kib = 0;
-
-  /// Applies the destination CPU cost model at wire-arrival time on the
-  /// receiver's side instead of at send time. Semantically the FIFO service
-  /// discipline is then ordered by arrival rather than by send: the
-  /// receiver's `node_free_at_` clock is only ever read and written by
-  /// events on the receiver's site lane, which is what lets the
-  /// site-parallel kernel run the CPU-cost model without cross-site state.
-  /// The two modes produce (slightly) different event timings, so a given
-  /// configuration must pick one mode for all runs; txn::Cluster enables
-  /// this exactly for site-parallel-eligible configurations, at every
-  /// thread count, keeping serial and parallel runs of one config
-  /// byte-identical.
-  bool deferred_node_service = false;
 
   /// Link batching (RPC formation, after Motr's rpc/formation.c): when > 0,
   /// messages on the same directed site pair coalesce into one wire batch.
@@ -163,8 +153,8 @@ class Transport {
   /// clears both directions.
   void SetSitePartitionedOneWay(int from_site, int to_site, bool partitioned);
 
-  /// Fail-slow fault: until sim time `until`, every message serviced by
-  /// `node` costs `factor` times its normal per-message CPU cost (or
+  /// Fail-slow fault: every message arriving at `node` before sim time
+  /// `until` costs `factor` times its normal per-message CPU cost (or
   /// `factor` times options.slow_default_service_cost when the CPU model is
   /// off), queueing FIFO behind the node's backlog. Models a degraded host
   /// (thermal throttling, dying disk, noisy neighbor) that is up but
@@ -291,8 +281,8 @@ class Transport {
     NodeId to = 0;
     size_t bytes = 0;
     bool ping = false;
-    /// Deferred-service mode: destination CPU queueing already applied (the
-    /// envelope is on its second, post-service delivery hop).
+    /// Destination CPU queueing already applied (the envelope is on its
+    /// second, post-service delivery hop).
     bool serviced = false;
     sim::EventFn deliver;
     Envelope* next = nullptr;
@@ -360,12 +350,10 @@ class Transport {
   /// Serialization start bookkeeping per directed site pair.
   SimTime& LinkFreeAt(int from_site, int to_site);
 
-  /// Destination CPU service completion for a message arriving at `arrival`:
+  /// Destination CPU service completion for a message arriving at `to` now:
   /// applies the configured cost model, the fail-slow stretch while one is
   /// active, and residual-backlog FIFO draining after a slow window ends.
-  /// Byte-identical to the legacy inline cost block when no node is
-  /// degraded.
-  SimTime ServiceDone(NodeId to, size_t bytes, SimTime arrival, SimTime now);
+  SimTime ServiceDone(NodeId to, size_t bytes);
 
   double EffectiveLinkRate(int from_site, int to_site) const;
 

@@ -137,10 +137,6 @@ void Simulator::ConfigureParallel(const ParallelOptions& options) {
   parallel_ = std::make_unique<ParallelKernel>(this, options);
 }
 
-bool Simulator::site_parallel() const {
-  return parallel_ != nullptr && parallel_->site_parallel();
-}
-
 int Simulator::CurrentLane() const {
   return parallel_ == nullptr ? 0 : parallel_->Lane();
 }
@@ -163,9 +159,7 @@ bool Simulator::ParallelCancel(EventId id) { return parallel_->Cancel(id); }
 void Simulator::ParallelDefer(Callback fn) { parallel_->Defer(std::move(fn)); }
 
 void Simulator::SetParallelPhaseStats(ParallelPhaseStats* stats) {
-  if (parallel_ != nullptr && parallel_->site_parallel()) {
-    parallel_->phase_stats_ = stats;
-  }
+  if (parallel_ != nullptr) parallel_->phase_stats_ = stats;
 }
 
 void Simulator::ParallelRun(SimTime limit, bool settle) {
@@ -180,9 +174,10 @@ ParallelKernel::ParallelKernel(Simulator* sim, const ParallelOptions& options)
       lookahead_(options.lookahead),
       track_cancel_ids_(options.track_cancel_ids) {
   NATTO_CHECK(options.num_threads >= 2);
-  NATTO_CHECK(num_sites_ >= 0 && num_sites_ < kMaxSites);
+  NATTO_CHECK(num_sites_ >= 1 && num_sites_ < kMaxSites)
+      << "the parallel kernel needs at least one site partition, got "
+      << num_sites_;
   NATTO_CHECK(lookahead_ >= 0);
-  if (num_sites_ == 0) return;  // degenerate mode: no partitions, no pool
   sites_.reserve(static_cast<size_t>(num_sites_));
   for (int s = 0; s < num_sites_; ++s) {
     sites_.push_back(std::make_unique<ParallelSiteContext>(this, s));
@@ -251,9 +246,6 @@ uint64_t ParallelKernel::MainSchedule(int site, SimTime t, EventFn fn) {
   if (t < sim_->now_) t = sim_->now_;
   uint64_t seq = sim_->next_seq_++;
   int dst = site == Simulator::kInheritSite ? main_site_ : site;
-  // Degenerate mode has no site queues; every site designation routes to
-  // the global queue, making ScheduleAtSite == ScheduleAt exactly.
-  if (num_sites_ == 0) dst = Simulator::kGlobalSite;
   NATTO_DCHECK(dst >= Simulator::kGlobalSite && dst < num_sites_);
   if (dst >= 0) {
     sites_[static_cast<size_t>(dst)]->queue.Push(t, seq, std::move(fn),
@@ -349,22 +341,6 @@ bool ParallelKernel::WorkerCancel(ParallelSiteContext& ctx, uint64_t id) {
 
 void ParallelKernel::RunUntilTime(SimTime limit, bool settle) {
   sim_->stopped_.store(false, std::memory_order_relaxed);
-  if (num_sites_ == 0) {
-    // Degenerate mode: the serial loop verbatim (only the dispatch above
-    // differs from a plain Simulator).
-    while (!sim_->stopped_.load(std::memory_order_relaxed)) {
-      EventNode* n = sim_->queue_.PopIfAtMost(limit);
-      if (n == nullptr) break;
-      sim_->FireOrDiscard(n);
-    }
-    if (settle && !sim_->stopped_.load(std::memory_order_relaxed) &&
-        sim_->now_ < limit) {
-      sim_->now_ = limit;
-      sim_->queue_.AdvanceTo(sim_->now_);
-    }
-    return;
-  }
-
   while (!sim_->stopped_.load(std::memory_order_relaxed)) {
     // Pick the globally earliest (time, seq) head. Between windows every
     // pending node carries a canonical seq (provisional nodes never

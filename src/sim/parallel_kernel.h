@@ -70,10 +70,9 @@ struct ParallelPhaseStats {
 ///     returns. Serial execution would have stopped after the calling
 ///     event; tests comparing against serial account for this.
 ///
-/// With `num_sites == 0` (degenerate mode, used by txn::Cluster until its
-/// engine stack is site-confined) the kernel keeps every event in the
-/// global queue and runs the literal serial loop on the calling thread;
-/// workers are never spawned and output is byte-identical by construction.
+/// The kernel needs at least one site partition (NATTO_CHECKed); a caller
+/// whose workload is not site-confined runs the plain serial kernel instead
+/// of installing this one.
 class ParallelKernel {
  public:
   ParallelKernel(Simulator* sim, const ParallelOptions& options);
@@ -81,7 +80,6 @@ class ParallelKernel {
   ParallelKernel(const ParallelKernel&) = delete;
   ParallelKernel& operator=(const ParallelKernel&) = delete;
 
-  bool site_parallel() const { return num_sites_ > 0; }
   int num_sites() const { return num_sites_; }
   SimDuration lookahead() const { return lookahead_; }
 

@@ -18,14 +18,13 @@ struct ParallelPhaseStats;
 
 /// Configuration for the intra-run parallel kernel (sim/parallel_kernel.h,
 /// DESIGN.md §4.11). Default-constructed options describe the serial
-/// kernel; ConfigureParallel with num_threads <= 1 is a no-op.
+/// kernel; ConfigureParallel with num_threads <= 1 is a no-op, and with
+/// num_threads > 1 requires num_sites >= 1.
 struct ParallelOptions {
   /// Worker threads, including the caller (which participates in windows).
   int num_threads = 1;
-  /// Site partitions owning their own CalendarQueue. 0 = degenerate mode:
-  /// every event stays in the global queue and RunUntil executes the exact
-  /// serial loop, but through the kernel's dispatch path (used by Cluster,
-  /// whose engine stack is not yet site-confined).
+  /// Site partitions owning their own CalendarQueue (>= 1 whenever the
+  /// kernel is installed).
   int num_sites = 0;
   /// Conservative PDES lookahead: a callback firing at time T on one site
   /// may schedule onto *another* site no earlier than T + lookahead. 0
@@ -79,7 +78,7 @@ class Simulator {
   static constexpr int kInheritSite = -2;  // same site as the caller
 
   /// ScheduleAt variant that names the partition the event belongs to.
-  /// Serial kernel (and degenerate parallel mode): identical to ScheduleAt.
+  /// Serial kernel: identical to ScheduleAt.
   /// Site-parallel kernel: the event lands in `site`'s calendar queue and
   /// fires on that site's lane. Cross-site schedules from a worker must
   /// satisfy t >= window_end (guaranteed when t >= Now() + lookahead).
@@ -127,20 +126,19 @@ class Simulator {
   /// options.num_threads <= 1, keeping the exact serial code path.
   void ConfigureParallel(const ParallelOptions& options);
 
-  /// True when the site-parallel kernel is installed (num_sites > 0).
-  /// Transport uses this to insist on its stateless fast path.
-  bool site_parallel() const;
+  /// True when the site-parallel kernel is installed. Transport uses this
+  /// to insist on its stateless fast path.
+  bool site_parallel() const { return parallel_ != nullptr; }
 
   /// Points the site-parallel kernel at a phase-profiling sink
   /// (sim/parallel_kernel.h). Null (the default) disables collection; a
-  /// no-op on the serial kernel and in degenerate mode. Timing never feeds
-  /// back into execution, so determinism is unaffected.
+  /// no-op on the serial kernel. Timing never feeds back into execution,
+  /// so determinism is unaffected.
   void SetParallelPhaseStats(ParallelPhaseStats* stats);
 
   /// Execution lane of the calling thread: 0 on the main thread (serial
-  /// kernel, degenerate mode, and between windows), 1 + site inside a
-  /// worker-executed event. Indexes per-lane pools (e.g. Transport
-  /// envelopes).
+  /// kernel, and between windows), 1 + site inside a worker-executed
+  /// event. Indexes per-lane pools (e.g. Transport envelopes).
   int CurrentLane() const;
 
   /// Number of events not yet executed (cancelled-but-undrained events

@@ -28,31 +28,14 @@ Cluster::Cluster(net::LatencyMatrix matrix, Topology topology,
       rng_(options_.seed) {
   NATTO_CHECK(topology_.num_sites() <= matrix_.num_sites())
       << "topology uses more sites than the latency matrix defines";
-  const bool site_parallel_eligible = SiteParallelEligible();
-  if (site_parallel_eligible &&
-      (options_.transport.node_cost_per_message > 0 ||
-       options_.transport.node_cost_per_kib > 0)) {
-    // The CPU-cost model's FIFO queue is cross-site state when serviced at
-    // send time; eligible configs service at arrival on the receiver's
-    // lane instead. Decided by config alone (above), so serial and
-    // parallel runs of one config agree. Must precede transport
-    // construction.
-    options_.transport.deferred_node_service = true;
-  }
-  if (options_.sim_threads > 1) {
-    // Site-parallel windows when the config is eligible; degenerate mode
-    // (num_sites = 0: every event stays in the global queue, serial loop
-    // on the calling thread) otherwise. Both are byte-identical to serial
-    // at any thread count. Must precede any scheduling — this is the first
-    // simulator touch in construction.
-    int kernel_sites = site_parallel_eligible ? topology_.num_sites() : 0;
+  if (options_.sim_threads > 1 && SiteParallelEligible()) {
+    // Site-parallel windows, byte-identical to serial at any thread count;
+    // ineligible configs keep the plain serial kernel. Must precede any
+    // scheduling — this is the first simulator touch in construction.
     simulator_.ConfigureParallel(sim::ParallelOptions{
-        options_.sim_threads, kernel_sites, ConservativeLookahead(), true});
-    if (options_.parallel_phase_stats != nullptr) {
-      // No-op unless the kernel is actually in site-parallel mode, so a
-      // degenerate fallback never reports misleading window stats.
-      simulator_.SetParallelPhaseStats(options_.parallel_phase_stats);
-    }
+        options_.sim_threads, topology_.num_sites(), ConservativeLookahead(),
+        true});
+    simulator_.SetParallelPhaseStats(options_.parallel_phase_stats);
   }
   if (options_.dsan.enabled) {
     // Attach before anything draws randomness or schedules events so the

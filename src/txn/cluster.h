@@ -79,14 +79,11 @@ struct ClusterOptions {
   GrayDefense gray;
 
   /// Simulation kernel threads (NATTO_SIM_THREADS). 1 (default) runs the
-  /// exact serial kernel. >1 installs the parallel kernel: site-parallel
-  /// windows (num_sites = topology sites, lookahead =
-  /// ConservativeLookahead()) when the configuration is eligible — see
-  /// Cluster::SiteParallelEligible() — and degenerate (all-global) mode
-  /// otherwise, where every event stays in the global queue and the
-  /// windowed dispatch path still runs end-to-end. Both modes are
-  /// byte-identical to serial at any thread count: site-parallel by the
-  /// kernel's barrier merge (DESIGN.md §4.11), degenerate by construction.
+  /// exact serial kernel. >1 installs the site-parallel kernel (num_sites =
+  /// topology sites, lookahead = ConservativeLookahead()) when the
+  /// configuration is eligible — see Cluster::SiteParallelEligible() — and
+  /// keeps the serial kernel otherwise. Output is byte-identical to serial
+  /// at any thread count (the kernel's barrier merge, DESIGN.md §4.11).
   int sim_threads = 1;
 
   /// Optional self-profiling sink for the site-parallel kernel (see
@@ -167,14 +164,11 @@ class Cluster {
   SimDuration ConservativeLookahead() const;
 
   /// Whether this deployment's *configuration* supports site-parallel
-  /// windows. A pure function of the config — never of sim_threads — so a
-  /// serial run and a parallel run of the same config make identical
-  /// decisions (notably TransportOptions::deferred_node_service) and stay
-  /// byte-identical. Eligible = fault-free (empty fault schedule, no gray
-  /// wiring), no tracer, deterministic constant delays, stateless wire (no
-  /// batching, loss, or capacity), at least two sites, and a positive
-  /// lookahead. Ineligible configs run degenerate mode under sim_threads>1,
-  /// which is byte-identical by construction.
+  /// windows. A pure function of the config — never of sim_threads.
+  /// Eligible = fault-free (empty fault schedule, no gray wiring), no
+  /// tracer, deterministic constant delays, stateless wire (no batching,
+  /// loss, or capacity), at least two sites, and a positive lookahead.
+  /// Ineligible configs run the serial kernel under any sim_threads.
   bool SiteParallelEligible() const;
 
  private:

@@ -357,15 +357,15 @@ TEST(ByteIdentityTest, DsanDigestsMatchSerialVsParallelOnFailoverChaos) {
 // NATTO_SIM_THREADS=4 installs the parallel simulation kernel (DESIGN.md
 // §4.11). The fig7 tiny config is site-parallel eligible — the engine stack
 // genuinely executes on per-site lanes — so matching the pre-parallel golden
-// here proves site confinement end to end; the chaos configs below fall back
-// to degenerate mode (fault schedules are global actors) and must be just as
+// here proves site confinement end to end; the chaos configs below stay on
+// the serial kernel (fault schedules are global actors) and must be just as
 // byte-identical. The contract is byte-identity at any thread count, alone
 // and combined with the NATTO_JOBS cell fan-out, down to the dsan digest
 // trails.
 TEST(ByteIdentityTest, Fig7TinyConfigIsSiteParallelEligible) {
   // Guards the golden tests below against going vacuous: if an eligibility
-  // rule tightens and the fig7 config silently falls back to degenerate
-  // mode, the sim_threads runs would no longer prove site confinement.
+  // rule tightens and the fig7 config silently falls back to the serial
+  // kernel, the sim_threads runs would no longer prove site confinement.
   ExperimentConfig config = TinyConfig(20);
   config.cluster.sim_threads = 4;
   txn::Topology topology = txn::Topology::Spread(
@@ -594,7 +594,7 @@ void RunSaturatedAndRender(const char* jobs, const char* sim_threads,
 
 TEST(ByteIdentityTest, SaturatedFig14TinyConfigIsSiteParallelEligible) {
   // Keeps the NATTO_SIM_THREADS case below from passing vacuously on the
-  // degenerate serial loop.
+  // serial kernel.
   ExperimentConfig config = SaturatedConfig();
   config.cluster.sim_threads = 3;
   txn::Topology topology = txn::Topology::Spread(

@@ -127,20 +127,23 @@ TEST(ClusterTest, SimThreadsEngagesSiteParallelWhenEligible) {
   EXPECT_EQ(done, done_serial);
 }
 
-TEST(ClusterTest, SimThreadsFallsBackToDegenerateWhenIneligible) {
+TEST(ClusterTest, SimThreadsRunsSerialKernelWhenIneligible) {
   // Randomized delays make the config ineligible (per-message RNG draws are
-  // cross-site state): the kernel installs in degenerate mode — dispatch
-  // runs through it but every event stays in the global queue — and output
-  // is byte-identical to serial by construction.
+  // cross-site state): sim_threads > 1 installs no parallel kernel, so the
+  // run is the plain serial kernel — every event fires on the main lane.
   ClusterOptions o = NoSkew();
   o.sim_threads = 4;
   o.delay_variance_ratio = 0.2;
   Cluster c(net::LatencyMatrix::AzureFive(), Topology::Spread(3, 3, 5), o);
   EXPECT_FALSE(c.SiteParallelEligible());
   EXPECT_FALSE(c.simulator()->site_parallel());
+  EXPECT_EQ(c.simulator()->CurrentLane(), 0);
   SimTime done = 0;
-  (void)c.group(0)->leader()->Propose(1,
-                                      [&]() { done = c.simulator()->Now(); });
+  int done_lane = -1;
+  (void)c.group(0)->leader()->Propose(1, [&]() {
+    done = c.simulator()->Now();
+    done_lane = c.simulator()->CurrentLane();
+  });
   c.simulator()->RunUntil(Seconds(2));
   ClusterOptions serial = NoSkew();
   serial.delay_variance_ratio = 0.2;
@@ -150,6 +153,7 @@ TEST(ClusterTest, SimThreadsFallsBackToDegenerateWhenIneligible) {
       1, [&]() { done_serial = s.simulator()->Now(); });
   s.simulator()->RunUntil(Seconds(2));
   EXPECT_GT(done, 0);
+  EXPECT_EQ(done_lane, 0);
   EXPECT_EQ(done, done_serial);
 }
 

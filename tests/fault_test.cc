@@ -344,10 +344,15 @@ TEST_F(TransportFaultTest, SlowStretchesServiceFifoAndBacklogDrains) {
   SimDuration base = matrix.OneWay(0, 1);  // 2 ms
 
   // No CPU cost model configured: the slow fault falls back to the default
-  // stand-in (100 us) times the factor = 1 ms per serviced message.
+  // stand-in (100 us) times the factor = 1 ms per serviced message. A node
+  // services a message when it arrives, so the window (until 3 ms) covers
+  // the first messages' arrival at 2 ms.
   EXPECT_DOUBLE_EQ(transport.NodeSlowFactor(b), 1.0);
-  transport.SetNodeSlow(b, 10.0, /*until=*/Millis(1));
+  transport.SetNodeSlow(b, 10.0, /*until=*/Millis(3));
   EXPECT_DOUBLE_EQ(transport.NodeSlowFactor(b), 10.0);
+  // A second slow node with the same window and no backlog.
+  net::NodeId c = transport.AddNode(1);
+  transport.SetNodeSlow(c, 10.0, /*until=*/Millis(3));
 
   std::vector<std::pair<int, SimTime>> arrivals;
   for (int i = 0; i < 3; ++i) {
@@ -355,8 +360,8 @@ TEST_F(TransportFaultTest, SlowStretchesServiceFifoAndBacklogDrains) {
       arrivals.emplace_back(i, simulator.Now());
     });
   }
-  // Sent after the slow window expired, while the backlog is still
-  // draining: it must queue FIFO behind the stretched messages (no
+  // Arrives (4.5 ms) after the slow window expired, while the backlog is
+  // still draining: it must queue FIFO behind the stretched messages (no
   // overtaking), at its normal (zero) service cost.
   simulator.ScheduleAt(Millis(2) + Micros(500), [&]() {
     transport.Send(a, b, 64, [&arrivals, this]() {
@@ -368,6 +373,11 @@ TEST_F(TransportFaultTest, SlowStretchesServiceFifoAndBacklogDrains) {
     transport.Send(a, b, 64, [&arrivals, this]() {
       arrivals.emplace_back(4, simulator.Now());
     });
+  });
+  // Sent inside c's slow window (2 ms < 3 ms) but arriving after it (4 ms).
+  SimTime c_arrival = -1;
+  simulator.ScheduleAt(Millis(2), [&]() {
+    transport.Send(a, c, 64, [&]() { c_arrival = simulator.Now(); });
   });
   simulator.Run();
 
@@ -383,6 +393,9 @@ TEST_F(TransportFaultTest, SlowStretchesServiceFifoAndBacklogDrains) {
   EXPECT_EQ(arrivals[3], (std::pair<int, SimTime>{3, base + Millis(3)}));
   // Message 4 arrived at 6 ms, after the drain: no queueing left.
   EXPECT_EQ(arrivals[4], (std::pair<int, SimTime>{4, Millis(4) + base}));
+  // Slowness applies when the node processes the message, not when it was
+  // sent: c gets it at raw wire latency, unstretched.
+  EXPECT_EQ(c_arrival, Millis(2) + base);
   // The window expired: the factor reads 1.0 again.
   EXPECT_DOUBLE_EQ(transport.NodeSlowFactor(b), 1.0);
 }

@@ -326,22 +326,30 @@ TEST(MergeDeterminismTest, MetricsAndTracesAreJobCountInvariant) {
 // events against sim time, schedules nothing and draws no randomness.
 TEST(NoPerturbationTest, TracingDoesNotChangeResults) {
   System system = MakeSystem(SystemKind::kCarouselFast);
-  ExperimentConfig off = ContendedConfig();
-  off.cluster.trace.enabled = false;
-  ExperimentConfig on = ContendedConfig();
+  // The CPU-cost case pins that tracing (which keeps a config off the
+  // site-parallel kernel) does not change how the modelled servers queue.
+  const SimDuration node_costs[] = {0, Millis(1)};
+  for (SimDuration node_cost : node_costs) {
+    SCOPED_TRACE("node_cost_per_message=" + std::to_string(node_cost));
+    ExperimentConfig off = ContendedConfig();
+    off.cluster.trace.enabled = false;
+    off.cluster.transport.node_cost_per_message = node_cost;
+    ExperimentConfig on = ContendedConfig();
+    on.cluster.transport.node_cost_per_message = node_cost;
 
-  RunStats a = RunOnce(off, system, ContendedWorkload(), /*seed=*/7);
-  RunStats b = RunOnce(on, system, ContendedWorkload(), /*seed=*/7);
+    RunStats a = RunOnce(off, system, ContendedWorkload(), /*seed=*/7);
+    RunStats b = RunOnce(on, system, ContendedWorkload(), /*seed=*/7);
 
-  EXPECT_TRUE(a.traces.empty());
-  EXPECT_FALSE(b.traces.empty());
-  EXPECT_EQ(a.latencies_high_ms, b.latencies_high_ms);
-  EXPECT_EQ(a.latencies_low_ms, b.latencies_low_ms);
-  EXPECT_EQ(a.committed_high, b.committed_high);
-  EXPECT_EQ(a.committed_low, b.committed_low);
-  EXPECT_EQ(a.aborted_attempts, b.aborted_attempts);
-  EXPECT_EQ(a.failed, b.failed);
-  EXPECT_EQ(a.metrics, b.metrics);
+    EXPECT_TRUE(a.traces.empty());
+    EXPECT_FALSE(b.traces.empty());
+    EXPECT_EQ(a.latencies_high_ms, b.latencies_high_ms);
+    EXPECT_EQ(a.latencies_low_ms, b.latencies_low_ms);
+    EXPECT_EQ(a.committed_high, b.committed_high);
+    EXPECT_EQ(a.committed_low, b.committed_low);
+    EXPECT_EQ(a.aborted_attempts, b.aborted_attempts);
+    EXPECT_EQ(a.failed, b.failed);
+    EXPECT_EQ(a.metrics, b.metrics);
+  }
 }
 
 }  // namespace

@@ -5,8 +5,9 @@
 // serial run exactly: the full-precision rendering of the run's stats
 // (every latency bit pattern, every counter), the complete metrics
 // snapshot, and the determinism-sanitizer digest trail. Chaos and
-// gray-failure schedules run the same lockstep (they fall back to the
-// kernel's degenerate mode, which must be just as byte-identical).
+// gray-failure schedules run the same lockstep (they are ineligible, so any
+// NATTO_SIM_THREADS keeps them on the serial kernel, which must be just as
+// byte-identical).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -176,9 +177,9 @@ TEST(SiteParallelTest, RandomTopologiesRunLockstepAcrossAllEngines) {
 }
 
 TEST(SiteParallelTest, ChaosScheduleRunsLockstep) {
-  // A fault schedule makes the config ineligible: the kernel must fall
-  // back to degenerate mode and stay in lockstep through a leader crash,
-  // recovery, and a site partition with client timeouts and backoff armed.
+  // A fault schedule makes the config ineligible: it must stay on the
+  // serial kernel and in lockstep through a leader crash, recovery, and a
+  // site partition with client timeouts and backoff armed.
   ExperimentConfig config = SmallConfig();
   config.request_timeout = Millis(800);
   config.backoff_base = Millis(25);
@@ -194,8 +195,8 @@ TEST(SiteParallelTest, ChaosScheduleRunsLockstep) {
 
 TEST(SiteParallelTest, GrayFailureScheduleRunsLockstep) {
   // Gray faults with the full defense stack armed (φ-accrual suspicion,
-  // pre-vote, commit-latency fail-away, hedged requests): also degenerate
-  // mode, also required to hold the lockstep at every thread count.
+  // pre-vote, commit-latency fail-away, hedged requests): also ineligible,
+  // also required to hold the lockstep at every thread count.
   ExperimentConfig config = SmallConfig();
   config.request_timeout = Millis(800);
   config.backoff_base = Millis(25);
