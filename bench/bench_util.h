@@ -1,8 +1,11 @@
 #ifndef NATTO_BENCH_BENCH_UTIL_H_
 #define NATTO_BENCH_BENCH_UTIL_H_
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -13,15 +16,15 @@
 
 namespace natto::bench {
 
-/// Default experiment sizing for the figure benches. The paper runs 10
+/// Default experiment sizing for the `figure` driver. The paper runs 10
 /// repeats x 60 s with 10 s head/tail trim; that is ~20x the compute of this
 /// quick default. Set NATTO_REPEATS=10 NATTO_DURATION_S=60 to reproduce the
 /// paper's full setting.
 ///
-/// Every bench fans its independent (system, datapoint, repeat) simulation
-/// cells across a thread pool (harness::ParallelRunner). NATTO_JOBS caps the
-/// worker count (default: all hardware threads; 1 = serial). The printed
-/// tables are bit-identical for any job count.
+/// Every grid figure fans its independent (system, datapoint, repeat)
+/// simulation cells across a thread pool (harness::ParallelRunner).
+/// NATTO_JOBS caps the worker count (default: all hardware threads; 1 =
+/// serial). The printed tables are bit-identical for any job count.
 inline harness::ExperimentConfig QuickConfig() {
   harness::ExperimentConfig config;
   config.repeats = 2;
@@ -106,8 +109,8 @@ inline void PrintWireCostReport(
   }
 }
 
-/// Command-line determinism-sanitizer knobs (DESIGN.md §4.10) shared by the
-/// figure benches and `nattosim`:
+/// Command-line determinism-sanitizer knobs (DESIGN.md §4.10) shared by
+/// `figure` and `nattosim`:
 ///   --dsan               attach the ledger and print per-cell digests after
 ///                        the run (stderr; tables stay byte-identical)
 ///   --dsan-trail=<path>  also write every cell's trail to a labeled trail
@@ -158,15 +161,14 @@ inline void ApplyDsanArgs(const DsanArgs& args,
   if (args.enabled) config->cluster.dsan.enabled = true;
 }
 
-/// Command-line tracing knobs shared by the figure benches:
+/// Command-line tracing knobs shared by `figure` and `nattosim`:
 ///   --trace=<path>       write sampled transaction traces after the run
 ///                        (a `.jsonl` path selects flat JSON lines; anything
 ///                        else selects Chrome trace_event JSON)
 ///   --trace-sample=<N>   record 1-in-N transactions (default 64)
 /// Tracing is off unless --trace is given, and enabling it changes none of
 /// the printed numbers: the tracer only buffers events against sim time.
-/// The --dsan* family (above) is parsed here too so every figure bench
-/// accepts it.
+/// The --dsan* family (above) rides along so every grid figure accepts it.
 struct TraceArgs {
   std::string path;
   int sample_period = 64;
@@ -174,27 +176,55 @@ struct TraceArgs {
   bool enabled() const { return !path.empty(); }
 };
 
-inline TraceArgs ParseTraceArgs(int argc, char** argv) {
-  TraceArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--trace=", 0) == 0) {
-      args.path = arg.substr(8);
-    } else if (arg.rfind("--trace-sample=", 0) == 0) {
-      args.sample_period = std::atoi(arg.c_str() + 15);
-      if (args.sample_period < 1) args.sample_period = 1;
-    } else if (ParseDsanArg(arg, &args.dsan)) {
-      // handled
-    } else {
-      std::fprintf(stderr,
-                   "unknown argument %s (supported: --trace=<path>, "
-                   "--trace-sample=<N>, --dsan, --dsan-trail=<path>, "
-                   "--dsan-diff[=<path>])\n",
-                   arg.c_str());
+/// What a numeric flag accepts (see ParseNumberFlag).
+struct NumberRule {
+  bool integer;        // also at most INT_MAX
+  double min;          // lower bound
+  bool min_exclusive;  // the value must exceed `min` rather than reach it
+  const char* expected;
+};
+inline constexpr NumberRule kPositive = {false, 0, true, "a number > 0"};
+inline constexpr NumberRule kNonNegative = {false, 0, false, "a number >= 0"};
+inline constexpr NumberRule kAtLeastOne = {true, 1, false, "an integer >= 1"};
+inline constexpr NumberRule kNonNegativeInt = {true, 0, false,
+                                               "an integer >= 0"};
+
+/// Strict numeric flag value: all of `value` must parse as a finite number
+/// that satisfies `rule`. Anything else (empty, trailing junk, out of range)
+/// exits 2 with a diagnostic naming the flag, instead of a silent default.
+inline double ParseNumberFlag(const char* flag, const std::string& value,
+                              const NumberRule& rule) {
+  char* end = nullptr;
+  const double v = std::strtod(value.c_str(), &end);
+  const bool ok =
+      !value.empty() && end == value.c_str() + value.size() &&
+      std::isfinite(v) && (rule.min_exclusive ? v > rule.min : v >= rule.min) &&
+      (!rule.integer ||
+       (std::floor(v) == v && v <= std::numeric_limits<int>::max()));
+  if (!ok) {
+    std::fprintf(stderr, "invalid %s=%s (expected %s)\n", flag,
+                 value.c_str(), rule.expected);
+    std::exit(2);
+  }
+  return v;
+}
+
+/// Consumes one --trace, --trace-sample or --dsan* argument into `args`;
+/// false if `arg` is none of them. A malformed value exits 2.
+inline bool ParseTraceArg(const std::string& arg, TraceArgs* args) {
+  if (arg.rfind("--trace=", 0) == 0) {
+    args->path = arg.substr(8);
+    if (args->path.empty()) {
+      std::fprintf(stderr, "--trace requires a path: --trace=<path>\n");
       std::exit(2);
     }
+  } else if (arg.rfind("--trace-sample=", 0) == 0) {
+    args->sample_period = static_cast<int>(
+        ParseNumberFlag("--trace-sample", arg.substr(15), kAtLeastOne));
+  } else {
+    return ParseDsanArg(arg, &args->dsan);
   }
-  return args;
+  return true;
 }
 
 inline void ApplyTraceArgs(const TraceArgs& args,
@@ -237,7 +267,7 @@ inline void WriteTraces(const TraceArgs& args,
 }
 
 /// One cell's dsan trail plus the label that identifies the cell across
-/// runs: "p<point>.<system>.r<repeat>" (optionally tag-prefixed when a bench
+/// runs: "p<point>.<system>.r<repeat>" (optionally tag-prefixed when a figure
 /// runs more than one grid).
 struct LabeledTrail {
   std::string label;
@@ -255,8 +285,8 @@ inline void CollectDsanTrails(
     for (size_t s = 0; s < results[p].size(); ++s) {
       const auto& dsan = results[p][s].dsan;
       for (size_t r = 0; r < dsan.size(); ++r) {
-        std::string label = tag.empty() ? "" : tag + ".";
-        label += "p" + std::to_string(p) + "." + systems[s].name + ".r" +
+        std::string label = tag.empty() ? "p" : tag + ".p";
+        label += std::to_string(p) + "." + systems[s].name + ".r" +
                  std::to_string(r);
         out->push_back(LabeledTrail{label, dsan[r]});
       }
@@ -333,19 +363,22 @@ inline bool ReadDsanTrails(const std::string& path,
 }
 
 /// Diffs two labeled trail sets (matched by label; `label_a`/`label_b` name
-/// the runs, e.g. "serial" vs "jobs=8"). Prints a FormatDivergenceReport for
-/// every divergent cell and returns the number of divergences; labels
-/// present on only one side count as divergences too.
+/// the runs, e.g. "serial" vs "jobs=8"). A label that repeats (columns that
+/// share a system name) matches its k-th occurrence on the other side.
+/// Prints a FormatDivergenceReport for every divergent cell and returns the
+/// number of divergences; labels present on only one side count as
+/// divergences too.
 inline int DiffDsanTrailSets(const std::string& label_a,
                              const std::vector<LabeledTrail>& a,
                              const std::string& label_b,
                              const std::vector<LabeledTrail>& b) {
   int divergences = 0;
-  std::vector<const LabeledTrail*> b_by_label;
+  std::map<std::string, int> seen;  // occurrences of each label in `a`
   for (const LabeledTrail& ta : a) {
+    int k = seen[ta.label]++;
     const LabeledTrail* tb = nullptr;
     for (const LabeledTrail& cand : b) {
-      if (cand.label == ta.label) {
+      if (cand.label == ta.label && k-- == 0) {
         tb = &cand;
         break;
       }
@@ -375,8 +408,8 @@ inline int DiffDsanTrailSets(const std::string& label_a,
 
 /// Post-run dsan handling on an already-collected trail set: print per-cell
 /// digests, write the trail file, and diff against a saved baseline when one
-/// was given. Returns false when a baseline diff found divergences (benches
-/// turn that into a nonzero exit).
+/// was given. Returns false when a baseline diff found divergences (the
+/// drivers turn that into a nonzero exit).
 inline bool FinishDsanTrails(const DsanArgs& args,
                              const std::vector<LabeledTrail>& trails) {
   // Non-empty trails with no --dsan flag means NATTO_DSAN=1 enabled the
@@ -404,17 +437,6 @@ inline bool FinishDsanTrails(const DsanArgs& args,
                  trails.size());
   }
   return true;
-}
-
-/// Convenience wrapper for the single-grid benches.
-inline bool FinishDsan(
-    const TraceArgs& args, const std::vector<harness::System>& systems,
-    const std::vector<std::vector<harness::ExperimentResult>>& results) {
-  // Collect unconditionally (a no-op when dsan was off): the ledger may
-  // have been enabled by NATTO_DSAN=1 rather than a --dsan flag.
-  std::vector<LabeledTrail> trails;
-  CollectDsanTrails(systems, results, "", &trails);
-  return FinishDsanTrails(args.dsan, trails);
 }
 
 }  // namespace natto::bench

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/types.h"
 
 namespace natto::harness {
@@ -33,6 +34,9 @@ Client::Client(sim::Simulator* simulator, txn::TxnEngine* engine,
       options_(std::move(options)),
       rng_(std::move(rng)),
       stats_(stats) {
+  // Exponential(0) is infinite and casting it to SimDuration is undefined,
+  // so a zero rate would schedule arrivals at t=0 forever.
+  NATTO_CHECK(options_.rate_tps > 0) << "client rate_tps must be positive";
   if (registry == nullptr) return;
   for (int c = 0; c < static_cast<int>(obs::AbortCause::kNumCauses); ++c) {
     auto cause = static_cast<obs::AbortCause>(c);

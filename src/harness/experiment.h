@@ -2,6 +2,7 @@
 #define NATTO_HARNESS_EXPERIMENT_H_
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -69,6 +70,9 @@ struct ExperimentResult {
   Aggregate p99_low_ms;
   Aggregate mean_high_ms;
   Aggregate mean_low_ms;
+  /// Per-priority-level p95 (levels as in RunStats::latencies_by_level_ms),
+  /// aggregated across the repeats in which the level committed anything.
+  std::map<int, Aggregate> p95_by_level_ms;
   Aggregate goodput_low_tps;
   Aggregate goodput_total_tps;
   /// Fraction of attempts that aborted: aborted / (aborted + committed),

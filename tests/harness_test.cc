@@ -156,6 +156,24 @@ TEST(ClientTest, RetriesUntilCommitAndRecordsFullLatency) {
   EXPECT_NEAR(stats.latencies_low_ms[0], 40.0, 0.5);
 }
 
+TEST(ClientTest, RejectsNonPositiveRate) {
+  // A zero rate would draw infinite inter-arrival gaps, whose cast to
+  // SimDuration is undefined.
+  for (double rate : {0.0, -1.0}) {
+    EXPECT_DEATH(
+        {
+          sim::Simulator simulator;
+          FakeEngine engine(&simulator, /*aborts_before_commit=*/0);
+          OneKeyWorkload wl;
+          RunStats stats;
+          Client::Options opts;
+          opts.rate_tps = rate;
+          Client client(&simulator, &engine, &wl, opts, Rng(3), &stats);
+        },
+        "rate_tps must be positive");
+  }
+}
+
 TEST(ClientTest, GivesUpAfterMaxAttempts) {
   sim::Simulator simulator;
   FakeEngine engine(&simulator, /*aborts_before_commit=*/1000);

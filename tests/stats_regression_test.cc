@@ -219,5 +219,22 @@ TEST(AggregateRunsTest, AbortFractionIsFractionOfAttempts) {
   EXPECT_DOUBLE_EQ(r.abort_fraction.mean, 0.0);
 }
 
+// Per-level p95 aggregates each run's nearest-rank p95 per priority level
+// over the runs in which that level committed anything.
+TEST(AggregateRunsTest, P95ByLevelAggregatesPerRunPercentiles) {
+  harness::RunStats a, b;
+  for (int i = 1; i <= 20; ++i) {
+    a.latencies_by_level_ms[0].push_back(i);        // p95 = 19
+    b.latencies_by_level_ms[0].push_back(10.0 * i);  // p95 = 190
+  }
+  a.latencies_by_level_ms[2] = {5};
+  harness::ExperimentResult r = harness::AggregateRuns("X", {a, b});
+  ASSERT_EQ(r.p95_by_level_ms.size(), 2u);
+  EXPECT_DOUBLE_EQ(r.p95_by_level_ms.at(0).mean, (19.0 + 190.0) / 2);
+  EXPECT_EQ(r.p95_by_level_ms.at(0).n, 2);
+  EXPECT_DOUBLE_EQ(r.p95_by_level_ms.at(2).mean, 5.0);
+  EXPECT_EQ(r.p95_by_level_ms.at(2).n, 1);
+}
+
 }  // namespace
 }  // namespace natto

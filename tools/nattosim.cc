@@ -48,11 +48,11 @@ struct Flags {
   int jobs = 0;  // 0 = NATTO_JOBS env / hardware concurrency
   bool hist = false;
   bool help = false;
-  std::string trace_path;    // empty = no trace file
-  int trace_sample = 1;      // 1-in-N sampling when tracing
   bool timeline = false;     // print one transaction's span timeline
   uint64_t timeline_txn = 0; // 0 = first finished sampled transaction
-  bench::DsanArgs dsan;      // --dsan / --dsan-trail / --dsan-diff
+  bench::TraceArgs trace;    // --trace, --trace-sample, --dsan*
+
+  Flags() { trace.sample_period = 1; }  // trace every transaction
 };
 
 void PrintUsage() {
@@ -105,6 +105,13 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
 }
 
 bool ParseFlags(int argc, char** argv, Flags* flags) {
+  // Numeric values are parsed strictly: a malformed or out-of-range value
+  // exits 2 naming the flag.
+  using bench::kAtLeastOne;
+  using bench::kNonNegative;
+  using bench::kNonNegativeInt;
+  using bench::kPositive;
+  using bench::ParseNumberFlag;
   for (int i = 1; i < argc; ++i) {
     std::string v;
     if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
@@ -118,38 +125,37 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (ParseFlag(argv[i], "--matrix", &v)) {
       flags->matrix = v;
     } else if (ParseFlag(argv[i], "--rate", &v)) {
-      flags->rate = std::atof(v.c_str());
+      flags->rate = ParseNumberFlag("--rate", v, kPositive);
     } else if (ParseFlag(argv[i], "--zipf", &v)) {
-      flags->zipf = std::atof(v.c_str());
+      flags->zipf = ParseNumberFlag("--zipf", v, kNonNegative);
     } else if (ParseFlag(argv[i], "--high", &v)) {
-      flags->high_fraction = std::atof(v.c_str());
+      flags->high_fraction = ParseNumberFlag("--high", v, kNonNegative);
     } else if (ParseFlag(argv[i], "--medium", &v)) {
-      flags->medium_fraction = std::atof(v.c_str());
+      flags->medium_fraction = ParseNumberFlag("--medium", v, kNonNegative);
     } else if (ParseFlag(argv[i], "--variance", &v)) {
-      flags->variance = std::atof(v.c_str());
+      flags->variance = ParseNumberFlag("--variance", v, kNonNegative);
     } else if (ParseFlag(argv[i], "--loss", &v)) {
-      flags->loss = std::atof(v.c_str());
+      flags->loss = ParseNumberFlag("--loss", v, kNonNegative);
     } else if (ParseFlag(argv[i], "--partitions", &v)) {
-      flags->partitions = std::atoi(v.c_str());
+      flags->partitions =
+          static_cast<int>(ParseNumberFlag("--partitions", v, kAtLeastOne));
     } else if (ParseFlag(argv[i], "--duration", &v)) {
-      flags->duration_s = std::atoi(v.c_str());
+      flags->duration_s =
+          static_cast<int>(ParseNumberFlag("--duration", v, kAtLeastOne));
     } else if (ParseFlag(argv[i], "--repeats", &v)) {
-      flags->repeats = std::atoi(v.c_str());
+      flags->repeats =
+          static_cast<int>(ParseNumberFlag("--repeats", v, kAtLeastOne));
     } else if (ParseFlag(argv[i], "--seed", &v)) {
       flags->seed = std::strtoull(v.c_str(), nullptr, 10);
     } else if (ParseFlag(argv[i], "--jobs", &v)) {
-      flags->jobs = std::atoi(v.c_str());
-    } else if (ParseFlag(argv[i], "--trace", &v)) {
-      flags->trace_path = v;
-    } else if (ParseFlag(argv[i], "--trace-sample", &v)) {
-      flags->trace_sample = std::atoi(v.c_str());
-      if (flags->trace_sample < 1) flags->trace_sample = 1;
+      flags->jobs =
+          static_cast<int>(ParseNumberFlag("--jobs", v, kNonNegativeInt));
     } else if (std::strcmp(argv[i], "--timeline") == 0) {
       flags->timeline = true;
     } else if (ParseFlag(argv[i], "--timeline", &v)) {
       flags->timeline = true;
       flags->timeline_txn = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (bench::ParseDsanArg(argv[i], &flags->dsan)) {
+    } else if (bench::ParseTraceArg(argv[i], &flags->trace)) {
       // handled
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
@@ -285,9 +291,8 @@ int main(int argc, char** argv) {
   config.seed = flags.seed;
   config.cluster.delay_variance_ratio = flags.variance;
   config.cluster.transport.packet_loss = flags.loss;
-  config.cluster.trace.enabled = !flags.trace_path.empty() || flags.timeline;
-  config.cluster.trace.sample_period = flags.trace_sample;
-  bench::ApplyDsanArgs(flags.dsan, &config);
+  bench::ApplyTraceArgs(flags.trace, &config);
+  if (flags.timeline) config.cluster.trace.enabled = true;
 
   WorkloadFactory workload;
   if (flags.workload == "ycsbt") {
@@ -348,22 +353,7 @@ int main(int argc, char** argv) {
                 low.ToAscii().c_str());
   }
 
-  if (!flags.trace_path.empty()) {
-    const std::string& p = flags.trace_path;
-    const bool jsonl =
-        p.size() >= 6 && p.compare(p.size() - 6, 6, ".jsonl") == 0;
-    const std::string out =
-        jsonl ? obs::TraceJsonLines(r.traces) : obs::ChromeTraceJson(r.traces);
-    std::FILE* f = std::fopen(p.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", p.c_str());
-      return 1;
-    }
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "wrote %zu transaction traces to %s\n",
-                 r.traces.size(), p.c_str());
-  }
+  bench::WriteTraces(flags.trace, r.traces);
 
   if (flags.timeline) {
     const obs::TxnTrace* pick = nullptr;
@@ -382,11 +372,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (flags.dsan.enabled) {
+  const bench::DsanArgs& dsan = flags.trace.dsan;
+  if (dsan.enabled) {
     std::vector<bench::LabeledTrail> trails;
     bench::CollectDsanTrails({system}, results, "", &trails);
-    if (!bench::FinishDsanTrails(flags.dsan, trails)) return 1;
-    if (flags.dsan.diff && flags.dsan.baseline_path.empty()) {
+    if (!bench::FinishDsanTrails(dsan, trails)) return 1;
+    if (dsan.diff && dsan.baseline_path.empty()) {
       return RunDsanSelfDiff(config, system, workload);
     }
   }
