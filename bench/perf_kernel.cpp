@@ -11,6 +11,9 @@
 //                   the full Send/deliver envelope path.
 //   fig7_ycsbt_cell one serial end-to-end harness::RunOnce YCSB+T cell —
 //                   what a figure-grid worker thread actually executes.
+//                   Counts committed transactions (commits_per_rep,
+//                   commits_per_sec_p50), as does fig14_site_parallel;
+//                   perfbench is the benchmark that counts their events.
 //   parallel_windows  per-site event chains on a 4-site WAN grid run twice:
 //                   serial kernel vs the 4-thread site-parallel kernel
 //                   (sim/parallel_kernel.h). Reports the 4-thread
@@ -123,11 +126,16 @@ double Pct(std::vector<double> v, double p) {
 
 struct SuiteResult {
   std::string name;
-  uint64_t events_per_rep = 0;
+  /// What the suite counts: kernel events for the microbench suites,
+  /// committed transactions for the end-to-end cells (harness::RunStats
+  /// exposes no executed-event count). The JSON keys carry the unit, e.g.
+  /// "commits_per_rep" / "commits_per_sec_p50" / "ns_per_commit_p50".
+  const char* unit = "event";
+  uint64_t per_rep = 0;
   double wall_ms_p50 = 0;
   double wall_ms_p99 = 0;
-  double events_per_sec_p50 = 0;
-  double ns_per_event_p50 = 0;
+  double per_sec_p50 = 0;
+  double ns_per_unit_p50 = 0;
   /// Allocations per event over the steady-state window; negative when the
   /// suite does not measure allocations (the e2e cell allocates by design:
   /// transactions carry vectors).
@@ -182,7 +190,7 @@ SuiteResult RunScheduleFire(const Options& opt) {
 
   SuiteResult r;
   r.name = "schedule_fire";
-  r.events_per_rep = total_events;
+  r.per_rep = total_events;
   std::vector<double> wall_ns;
   double steady_allocs = 0;
 
@@ -220,8 +228,8 @@ SuiteResult RunScheduleFire(const Options& opt) {
 
   r.wall_ms_p50 = Pct(wall_ns, 50) / 1e6;
   r.wall_ms_p99 = Pct(wall_ns, 99) / 1e6;
-  r.ns_per_event_p50 = Pct(wall_ns, 50) / static_cast<double>(total_events);
-  r.events_per_sec_p50 =
+  r.ns_per_unit_p50 = Pct(wall_ns, 50) / static_cast<double>(total_events);
+  r.per_sec_p50 =
       static_cast<double>(total_events) / (Pct(wall_ns, 50) / 1e9);
   r.steady_allocs_per_event = steady_allocs;  // last rep: fully warmed
   return r;
@@ -240,7 +248,7 @@ SuiteResult RunTransportEcho(const Options& opt) {
 
   SuiteResult r;
   r.name = "transport_echo";
-  r.events_per_rep = total_msgs;
+  r.per_rep = total_msgs;
   std::vector<double> wall_ns;
   double steady_allocs = 0;
 
@@ -294,8 +302,8 @@ SuiteResult RunTransportEcho(const Options& opt) {
 
   r.wall_ms_p50 = Pct(wall_ns, 50) / 1e6;
   r.wall_ms_p99 = Pct(wall_ns, 99) / 1e6;
-  r.ns_per_event_p50 = Pct(wall_ns, 50) / static_cast<double>(total_msgs);
-  r.events_per_sec_p50 =
+  r.ns_per_unit_p50 = Pct(wall_ns, 50) / static_cast<double>(total_msgs);
+  r.per_sec_p50 =
       static_cast<double>(total_msgs) / (Pct(wall_ns, 50) / 1e9);
   r.steady_allocs_per_event = steady_allocs;
   return r;
@@ -324,6 +332,7 @@ SuiteResult RunFig7Cell(const Options& opt) {
   };
 
   int64_t committed = 0;
+  std::vector<double> commits_per_sec, ns_per_commit;
   for (int rep = 0; rep < opt.reps; ++rep) {
     auto t0 = Clock::now();  // NOLINT(natto-wallclock)
     harness::RunStats stats = harness::RunOnce(
@@ -331,15 +340,22 @@ SuiteResult RunFig7Cell(const Options& opt) {
     auto t1 = Clock::now();  // NOLINT(natto-wallclock)
     wall_ns.push_back(ElapsedNs(t0, t1));
     committed = stats.committed_high + stats.committed_low;
+    commits_per_sec.push_back(static_cast<double>(committed) /
+                              (ElapsedNs(t0, t1) / 1e9));
+    ns_per_commit.push_back(ElapsedNs(t0, t1) /
+                            static_cast<double>(std::max<int64_t>(committed, 1)));
   }
   if (committed == 0) {
     std::fprintf(stderr, "fig7_ycsbt_cell committed nothing — broken cell\n");
     std::exit(1);
   }
 
-  r.events_per_rep = static_cast<uint64_t>(committed);
+  r.unit = "commit";
+  r.per_rep = static_cast<uint64_t>(committed);  // last rep's seed
   r.wall_ms_p50 = Pct(wall_ns, 50) / 1e6;
   r.wall_ms_p99 = Pct(wall_ns, 99) / 1e6;
+  r.per_sec_p50 = Pct(commits_per_sec, 50);
+  r.ns_per_unit_p50 = Pct(ns_per_commit, 50);
   return r;
 }
 
@@ -451,7 +467,7 @@ SuiteResult RunParallelWindows(const Options& opt) {
 
   SuiteResult r;
   r.name = "parallel_windows";
-  r.events_per_rep = total_events;
+  r.per_rep = total_events;
 
   std::vector<double> serial_eps, parallel_eps, parallel_wall_ms, modeled_eps;
   for (int rep = 0; rep < opt.reps; ++rep) {
@@ -482,8 +498,8 @@ SuiteResult RunParallelWindows(const Options& opt) {
 
   r.wall_ms_p50 = Pct(parallel_wall_ms, 50);
   r.wall_ms_p99 = Pct(parallel_wall_ms, 99);
-  r.events_per_sec_p50 = Pct(parallel_eps, 50);
-  r.ns_per_event_p50 = 1e9 / Pct(parallel_eps, 50);
+  r.per_sec_p50 = Pct(parallel_eps, 50);
+  r.ns_per_unit_p50 = 1e9 / Pct(parallel_eps, 50);
   r.speedup_4t_wall = Pct(parallel_eps, 50) / Pct(serial_eps, 50);
   r.speedup_4t_modeled = Pct(modeled_eps, 50) / Pct(serial_eps, 50);
   r.host_cpus = std::thread::hardware_concurrency();
@@ -546,6 +562,7 @@ SuiteResult RunFig14SiteParallel(const Options& opt) {
   r.name = "fig14_site_parallel";
   r.digests_match = 1;
   std::vector<double> serial_ns, parallel_ns, modeled_ns;
+  std::vector<double> commits_per_sec, ns_per_commit;
   int64_t committed = 0;
   // Each rep costs two full saturated cells; the event stream is seeded and
   // deterministic, so extra quick-mode reps only re-measure wall noise.
@@ -584,6 +601,10 @@ SuiteResult RunFig14SiteParallel(const Options& opt) {
     modeled_ns.push_back(std::max(modeled_s, 1e-9) * 1e9);
 
     committed = serial.committed_high + serial.committed_low;
+    commits_per_sec.push_back(static_cast<double>(committed) /
+                              (ElapsedNs(p0, p1) / 1e9));
+    ns_per_commit.push_back(ElapsedNs(p0, p1) /
+                            static_cast<double>(std::max<int64_t>(committed, 1)));
     if (render(serial) != render(parallel)) r.digests_match = 0;
   }
   if (committed == 0) {
@@ -591,9 +612,13 @@ SuiteResult RunFig14SiteParallel(const Options& opt) {
     std::exit(1);
   }
 
-  r.events_per_rep = static_cast<uint64_t>(committed);
+  // Rates are of the 4-thread runs, like the wall times.
+  r.unit = "commit";
+  r.per_rep = static_cast<uint64_t>(committed);  // last rep's seed
   r.wall_ms_p50 = Pct(parallel_ns, 50) / 1e6;
   r.wall_ms_p99 = Pct(parallel_ns, 99) / 1e6;
+  r.per_sec_p50 = Pct(commits_per_sec, 50);
+  r.ns_per_unit_p50 = Pct(ns_per_commit, 50);
   r.speedup_4t_wall = Pct(serial_ns, 50) / Pct(parallel_ns, 50);
   r.speedup_4t_modeled = Pct(serial_ns, 50) / Pct(modeled_ns, 50);
   r.host_cpus = std::thread::hardware_concurrency();
@@ -617,13 +642,14 @@ void WriteJson(const Options& opt, const std::vector<SuiteResult>& results) {
   for (size_t i = 0; i < results.size(); ++i) {
     const SuiteResult& r = results[i];
     std::fprintf(f, "    {\n      \"name\": \"%s\",\n", r.name.c_str());
-    std::fprintf(f, "      \"events_per_rep\": %llu,\n",
-                 static_cast<unsigned long long>(r.events_per_rep));
+    std::fprintf(f, "      \"%ss_per_rep\": %llu,\n", r.unit,
+                 static_cast<unsigned long long>(r.per_rep));
     std::fprintf(f, "      \"wall_ms_p50\": %.3f,\n", r.wall_ms_p50);
     std::fprintf(f, "      \"wall_ms_p99\": %.3f,\n", r.wall_ms_p99);
-    std::fprintf(f, "      \"events_per_sec_p50\": %.0f,\n",
-                 r.events_per_sec_p50);
-    std::fprintf(f, "      \"ns_per_event_p50\": %.2f,\n", r.ns_per_event_p50);
+    std::fprintf(f, "      \"%ss_per_sec_p50\": %.0f,\n", r.unit,
+                 r.per_sec_p50);
+    std::fprintf(f, "      \"ns_per_%s_p50\": %.2f,\n", r.unit,
+                 r.ns_per_unit_p50);
     if (r.speedup_4t > 0.0) {
       std::fprintf(f, "      \"speedup_4t\": %.3f,\n", r.speedup_4t);
       std::fprintf(f, "      \"speedup_4t_wall\": %.3f,\n", r.speedup_4t_wall);
@@ -676,12 +702,14 @@ int Main(int argc, char** argv) {
   results.push_back(RunParallelWindows(opt));
   results.push_back(RunFig14SiteParallel(opt));
 
-  std::printf("%-18s %14s %12s %12s %14s %10s\n", "suite", "events/rep",
-              "wall p50 ms", "wall p99 ms", "events/sec", "allocs/ev");
+  std::printf("%-18s %-7s %14s %12s %12s %14s %10s\n", "suite", "unit",
+              "units/rep", "wall p50 ms", "wall p99 ms", "units/sec",
+              "allocs/ev");
   for (const SuiteResult& r : results) {
-    std::printf("%-18s %14llu %12.2f %12.2f %14.0f %10.4f\n", r.name.c_str(),
-                static_cast<unsigned long long>(r.events_per_rep),
-                r.wall_ms_p50, r.wall_ms_p99, r.events_per_sec_p50,
+    std::printf("%-18s %-7s %14llu %12.2f %12.2f %14.0f %10.4f\n",
+                r.name.c_str(), r.unit,
+                static_cast<unsigned long long>(r.per_rep),
+                r.wall_ms_p50, r.wall_ms_p99, r.per_sec_p50,
                 r.steady_allocs_per_event);
     if (r.speedup_4t > 0.0) {
       std::printf(

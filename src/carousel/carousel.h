@@ -9,6 +9,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "net/node.h"
 #include "obs/abort_cause.h"
 #include "obs/metrics.h"
@@ -65,7 +66,7 @@ class CarouselServer : public net::Node {
   raft::PayloadIdAllocator payload_ids_;
   store::KvStore kv_;
   store::PreparedSet prepared_;
-  std::unordered_set<TxnId> finished_;  // tombstones for late arrivals
+  FlatSet finished_;  // tombstones for late arrivals
 
   // Registered under carousel.server.p<N>.
   obs::Counter* occ_vote_no_ = nullptr;
@@ -105,7 +106,7 @@ class CarouselFastReplica : public net::Node {
   raft::PayloadIdAllocator payload_ids_;
   store::KvStore kv_;
   store::PreparedSet prepared_;
-  std::unordered_set<TxnId> finished_;
+  FlatSet finished_;
 
   // Registered under carousel.replica.p<N>.r<M>.
   obs::Counter* fast_vote_no_ = nullptr;
@@ -185,7 +186,7 @@ class CarouselCoordinator : public net::Node {
   CarouselEngine* engine_;
   raft::PayloadIdAllocator payload_ids_;
   std::unordered_map<TxnId, TxnState> txns_;
-  std::unordered_set<TxnId> decided_;  // ignore late messages
+  FlatSet decided_;  // ignore late messages
 
   // Registered under carousel.coord.s<site>.
   obs::Counter* slow_path_starts_ = nullptr;

@@ -6,9 +6,9 @@
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "net/node.h"
 #include "net/prober.h"
 #include "obs/abort_cause.h"
@@ -97,7 +97,7 @@ class NattoServer : public net::Node {
   NattoServer(NattoEngine* engine, int partition, int site,
               sim::NodeClock clock);
 
-  void HandleReadPrepare(const NattoWireTxn& txn);
+  void HandleReadPrepare(NattoWireTxn txn);
   void HandleCommit(TxnId id, std::vector<std::pair<Key, Value>> writes);
   void HandleAbort(TxnId id);
 
@@ -141,13 +141,13 @@ class NattoServer : public net::Node {
 
   /// Inserts into the queue, runs the priority-abort pass and the
   /// late-arrival ordering check, and schedules processing.
-  void Enqueue(TxnState st);
+  void Enqueue(TxnState&& st);
 
   /// Processes ready queue-head transactions in timestamp order.
   void DrainReady();
-  void ProcessTxn(TxnState st);
+  void ProcessTxn(TxnState&& st);
 
-  void PrepareNow(TxnState st, bool conditional, TxnId condition_on);
+  void PrepareNow(TxnState&& st, bool conditional, TxnId condition_on);
   void ServeReads(TxnState& st);
 
   /// Priority-aborts a queued low-priority transaction.
@@ -187,9 +187,9 @@ class NattoServer : public net::Node {
   /// stale (its CP aborted or was re-prepared firmly); ResolveConditions
   /// re-checks each one against prepared_txns_ before acting on it.
   std::set<std::pair<TxnId, TxnId>> conditions_;
-  std::unordered_set<TxnId> finished_;
+  FlatSet finished_;
   /// Largest prepare timestamp per key (late-arrival ordering checks).
-  std::unordered_map<Key, SimTime> key_order_ts_;
+  FlatMap<SimTime> key_order_ts_;
 
   /// Registry-backed stat counters (see stats()).
   struct StatCounters {
@@ -212,7 +212,7 @@ class NattoCoordinator : public net::Node {
  public:
   NattoCoordinator(NattoEngine* engine, int site, sim::NodeClock clock);
 
-  void HandleBegin(const NattoWireTxn& txn, std::vector<int> participants);
+  void HandleBegin(NattoWireTxn txn, std::vector<int> participants);
   void HandleVote(const NattoVote& vote);
   void HandleConditionResolved(TxnId id, int partition, bool satisfied);
   void HandlePriorityAbort(TxnId id);
@@ -235,7 +235,6 @@ class NattoCoordinator : public net::Node {
     int version = 0;
     bool conditional = false;
     bool condition_failed = false;
-    std::string reason;
   };
 
   struct TxnState {
@@ -248,11 +247,14 @@ class NattoCoordinator : public net::Node {
     obs::AbortCause failed_cause = obs::AbortCause::kNone;
     bool priority_aborted = false;  // PA notice arrived before Begin
     std::vector<int> participants;
-    std::unordered_map<int, VoteState> votes;
+    /// (partition, vote) in arrival order. A transaction has a handful of
+    /// participants, so a scan beats a per-transaction hash table.
+    std::vector<std::pair<int, VoteState>> votes;
     bool have_writes = false;
     bool user_abort = false;
     std::vector<std::pair<Key, Value>> writes;
-    std::unordered_map<int, int> round2_versions;
+    /// (partition, read version) pairs as the client's round 2 sent them.
+    std::vector<std::pair<int, int>> round2_versions;
     int replicated_version = -1;  // round2 generation made durable
     int round2_generation = 0;
   };
@@ -265,6 +267,7 @@ class NattoCoordinator : public net::Node {
     net::NodeId client;
   };
 
+  static VoteState& VoteOf(TxnState& st, int partition);
   void MaybeDecide(TxnId id);
   void Decide(TxnId id, bool commit, const std::string& reason,
               obs::AbortCause cause);
@@ -277,7 +280,7 @@ class NattoCoordinator : public net::Node {
   /// Committed write data kept briefly for RECSF requests.
   std::unordered_map<TxnId, std::vector<std::pair<Key, Value>>> committed_writes_;
   std::unordered_map<TxnId, std::vector<PendingRecsf>> recsf_waiting_;
-  std::unordered_set<TxnId> decided_;
+  FlatSet decided_;
 };
 
 /// Client library for one datacenter: fetches delay estimates from the local
@@ -313,18 +316,25 @@ class NattoGateway : public net::Node {
  private:
   friend class NattoEngine;
 
+  /// One participant's latest read version and its results, one per key.
+  /// Read sets are small, so both levels are scanned vectors rather than
+  /// per-transaction hash tables.
   struct PartitionReads {
     int version = -1;
-    std::unordered_map<Key, txn::ReadResult> reads;
+    std::vector<txn::ReadResult> reads;
+
+    const txn::ReadResult* Find(Key key) const;
   };
 
   struct ClientTxn {
     txn::TxnRequest request;
     txn::TxnCallback done;
     std::vector<int> participants;
-    std::unordered_map<int, PartitionReads> reads;
+    std::vector<std::pair<int, PartitionReads>> reads;  // by partition
     std::vector<std::pair<Key, Value>> writes;
     int round2_sent_generation = 0;
+
+    const PartitionReads* FindReads(int partition) const;
   };
 
   void MaybeSendRound2(TxnId id);

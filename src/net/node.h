@@ -36,7 +36,7 @@ class Node {
   SimTime LocalNow() const { return clock_.Read(TrueNow()); }
 
   /// Sends `bytes` to `to`; `fn` runs at the destination on delivery.
-  void SendTo(NodeId to, size_t bytes, sim::EventFn fn) {
+  void SendTo(NodeId to, size_t bytes, sim::EventFn&& fn) {
     transport_->Send(id_, to, bytes, std::move(fn));
   }
 
@@ -44,7 +44,7 @@ class Node {
   /// `stall` gray faults in both directions — a frozen process's network
   /// stack still answers — which is exactly why probe-based liveness alone
   /// cannot detect a gray-failed peer.
-  void SendPing(NodeId to, size_t bytes, sim::EventFn fn) {
+  void SendPing(NodeId to, size_t bytes, sim::EventFn&& fn) {
     transport_->Send(id_, to, bytes, std::move(fn), MessageClass::kPing);
   }
 
@@ -52,7 +52,7 @@ class Node {
   /// node's site lane, so node timers stay site-confined under the parallel
   /// kernel even when armed from the main thread (e.g. a refresh loop
   /// started at construction).
-  void After(SimDuration delay, sim::EventFn fn) {
+  void After(SimDuration delay, sim::EventFn&& fn) {
     sim::Simulator* s = transport_->simulator();
     s->ScheduleAtSite(site_, s->Now() + (delay < 0 ? 0 : delay),
                       std::move(fn));
@@ -60,7 +60,7 @@ class Node {
 
   /// Runs `fn` when this node's local clock reads `local_time` (immediately
   /// if that instant has passed). Site-routed like After().
-  void AtLocalTime(SimTime local_time, sim::EventFn fn) {
+  void AtLocalTime(SimTime local_time, sim::EventFn&& fn) {
     SimTime true_time = clock_.ToTrueTime(local_time);
     sim::Simulator* s = transport_->simulator();
     if (true_time < s->Now()) true_time = s->Now();

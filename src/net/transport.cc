@@ -307,15 +307,6 @@ void Transport::Deliver(Envelope* env) {
       return;
     }
   }
-  // Move the closure out and recycle first: a re-entrant Send from inside
-  // `deliver` can then reuse this very envelope.
-  sim::EventFn deliver = std::move(env->deliver);
-  const int sa = env->from_site;
-  const int sb = env->to_site;
-  const NodeId to = env->to;
-  env->next = lane.pool.free;
-  lane.pool.free = env;
-
   Traffic& traffic = lane.traffic;
   --traffic.messages_in_flight;
 
@@ -325,18 +316,22 @@ void Transport::Deliver(Envelope* env) {
   // path for packets already on it. Such drops stay counted as sent traffic
   // (they did enter the network) and additionally count under
   // delivery_drops, keeping sent == delivered + in_flight + delivery_drops.
-  if (node_crashed_[to]) {
+  if (node_crashed_[env->to]) {
     ++traffic.delivery_drops;
     CountDrop(traffic, DropReason::kCrash);
-    return;
-  }
-  if (!partition_mask_.empty() && IsSitePartitioned(sa, sb)) {
+  } else if (!partition_mask_.empty() &&
+             IsSitePartitioned(env->from_site, env->to_site)) {
     ++traffic.delivery_drops;
     CountDrop(traffic, DropReason::kPartition);
-    return;
+  } else {
+    ++traffic.messages_delivered;
+    // In place: the envelope is on no list while its closure runs, so a
+    // re-entrant Send draws another one.
+    env->deliver();
   }
-  ++traffic.messages_delivered;
-  deliver();
+  env->deliver.Reset();
+  env->next = lane.pool.free;
+  lane.pool.free = env;
 }
 
 void Transport::ScheduleWireDelivery(SimTime at, Envelope* env) {
@@ -488,7 +483,7 @@ void Transport::FlushBatchesTo(int site) {
 }
 
 void Transport::Send(NodeId from, NodeId to, size_t bytes,
-                     sim::EventFn deliver, MessageClass cls) {
+                     sim::EventFn&& deliver, MessageClass cls) {
   NATTO_DCHECK(from >= 0 && from < num_nodes());
   NATTO_DCHECK(to >= 0 && to < num_nodes());
   Lane& lane = ThisLane();

@@ -116,7 +116,7 @@ class Transport {
   /// pooled envelope: steady-state sends allocate nothing beyond what the
   /// closure itself captures (and closures up to EventFn::kInlineCapacity
   /// are stored inline), batched or not.
-  void Send(NodeId from, NodeId to, size_t bytes, sim::EventFn deliver,
+  void Send(NodeId from, NodeId to, size_t bytes, sim::EventFn&& deliver,
             MessageClass cls = MessageClass::kService);
 
   /// True when link batching is configured (max_batch_bytes > 0).

@@ -98,8 +98,8 @@ RaftReplica* RaftGroup::current_leader() {
   return l->crashed() ? nullptr : l;
 }
 
-void RaftGroup::Propose(PayloadId payload, std::function<void()> on_committed,
-                        std::function<void(bool)> on_failed) {
+void RaftGroup::Propose(PayloadId payload, sim::EventFn&& on_committed,
+                        FailFn&& on_failed) {
   RaftReplica* l = current_leader();
   if (l == nullptr) {
     on_failed(false);
@@ -113,17 +113,18 @@ void RaftGroup::Propose(PayloadId payload, std::function<void()> on_committed,
     return;
   }
   auto done = std::make_shared<bool>(false);
-  Status s = l->Propose(payload, [done, cb = std::move(on_committed)]() {
-    if (*done) return;  // already timed out
-    *done = true;
-    cb();
-  });
+  Status s = l->Propose(
+      payload, [done, cb = std::move(on_committed)]() mutable {
+        if (*done) return;  // already timed out
+        *done = true;
+        cb();
+      });
   if (!s.ok()) {
     on_failed(false);
     return;
   }
   transport_->simulator()->ScheduleAfter(
-      propose_timeout_, [done, fail = std::move(on_failed)]() {
+      propose_timeout_, [done, fail = std::move(on_failed)]() mutable {
         if (*done) return;
         *done = true;
         fail(true);
@@ -131,33 +132,46 @@ void RaftGroup::Propose(PayloadId payload, std::function<void()> on_committed,
 }
 
 void RaftGroup::ProposeWithRetry(PayloadId payload,
-                                 std::function<void()> on_committed) {
-  ProposeAttempt(payload,
-                 std::make_shared<std::function<void()>>(
-                     std::move(on_committed)),
-                 kMaxCommitRetries);
+                                 sim::EventFn&& on_committed) {
+  ProposeAttempt(payload, std::move(on_committed), kMaxCommitRetries);
 }
 
-void RaftGroup::ProposeAttempt(PayloadId payload,
-                               std::shared_ptr<std::function<void()>> cb,
+void RaftGroup::ProposeAttempt(PayloadId payload, sim::EventFn&& on_committed,
                                int attempts_left) {
+  if (propose_timeout_ <= 0) {
+    // Fault-free: the leader either takes the callback or rejects the
+    // proposal synchronously, leaving the callback here for the retry —
+    // the same events Propose's synchronous on_failed(false) produces.
+    RaftReplica* l = current_leader();
+    if (l != nullptr && l->Propose(payload, std::move(on_committed)).ok()) {
+      return;
+    }
+    RetryLater(payload, std::move(on_committed), attempts_left);
+    return;
+  }
+  // Failure handling armed: this attempt's commit and its timeout race for
+  // the callback. A timeout hands it on to the next attempt, and a late
+  // commit of this one then finds it gone — so it fires at most once.
+  auto cb = std::make_shared<sim::EventFn>(std::move(on_committed));
   Propose(
       payload,
       [cb]() {
         if (*cb) (*cb)();
       },
-      [this, payload, cb, attempts_left](bool timed_out) {
-        (void)timed_out;
-        if (attempts_left <= 0) return;  // unrecoverable outage backstop
-        // Re-propose after an election has had time to make progress. The
-        // payload is opaque, so a duplicate log entry from a retry racing a
-        // slow commit is harmless, and each attempt's completion token
-        // guarantees the callback fires at most once overall.
-        transport_->simulator()->ScheduleAfter(
-            4 * options_.heartbeat_interval,
-            [this, payload, cb, attempts_left]() {
-              ProposeAttempt(payload, cb, attempts_left - 1);
-            });
+      [this, payload, cb, attempts_left](bool) {
+        RetryLater(payload, std::move(*cb), attempts_left);
+      });
+}
+
+void RaftGroup::RetryLater(PayloadId payload, sim::EventFn&& on_committed,
+                           int attempts_left) {
+  if (attempts_left <= 0) return;  // unrecoverable outage backstop
+  // The payload is opaque, so a duplicate log entry from a retry racing a
+  // slow commit is harmless.
+  transport_->simulator()->ScheduleAfter(
+      4 * options_.heartbeat_interval,
+      [this, payload, cb = std::move(on_committed), attempts_left]() mutable {
+        ProposeAttempt(payload, std::move(cb), attempts_left - 1);
       });
 }
 

@@ -16,6 +16,11 @@ namespace natto::raft {
 /// engines keep working after a failover instead of proposing to a corpse.
 class RaftGroup {
  public:
+  /// Failure continuation of Propose; the argument is `timed_out`.
+  /// Move-only like EventFn, with 64 bytes of inline capture (Natto's
+  /// prepare-failure closure takes 32); larger captures go to the heap.
+  using FailFn = sim::InlineFn<void(bool), 64>;
+
   RaftGroup(net::Transport* transport, const std::vector<int>& sites,
             RaftReplica::Options options, Rng& seed_rng,
             SimDuration max_clock_skew = 0);
@@ -60,20 +65,23 @@ class RaftGroup {
   /// live leader accepts the proposal, or later with timed_out=true when
   /// failure handling is armed and the accepting leader dies (or is
   /// deposed) before the entry commits.
-  void Propose(PayloadId payload, std::function<void()> on_committed,
-               std::function<void(bool timed_out)> on_failed);
+  void Propose(PayloadId payload, sim::EventFn&& on_committed,
+               FailFn&& on_failed);
 
   /// Replicates a decision that must eventually become durable (commit
   /// records whose outcome was already reported): retries through leader
   /// changes until some leader commits it, then fires `on_committed` exactly
   /// once. Bounded by `kMaxCommitRetries` as an unrecoverable-outage
   /// backstop.
-  void ProposeWithRetry(PayloadId payload, std::function<void()> on_committed);
+  void ProposeWithRetry(PayloadId payload, sim::EventFn&& on_committed);
 
  private:
-  void ProposeAttempt(PayloadId payload,
-                      std::shared_ptr<std::function<void()>> cb,
+  void ProposeAttempt(PayloadId payload, sim::EventFn&& on_committed,
                       int attempts_left);
+  /// Schedules the next ProposeAttempt after an election has had time to
+  /// make progress (drops the callback once attempts run out).
+  void RetryLater(PayloadId payload, sim::EventFn&& on_committed,
+                  int attempts_left);
 
   static constexpr int kMaxCommitRetries = 200;
 

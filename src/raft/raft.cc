@@ -64,8 +64,7 @@ void RaftReplica::SetCrashed(bool crashed) {
   }
 }
 
-Status RaftReplica::Propose(PayloadId payload,
-                            std::function<void()> on_committed) {
+Status RaftReplica::Propose(PayloadId payload, sim::EventFn&& on_committed) {
   if (crashed_ || role_ != Role::kLeader) {
     return Status::Unavailable("not the leader");
   }
@@ -76,7 +75,9 @@ Status RaftReplica::Propose(PayloadId payload,
   NATTO_DCHECK(pending_callbacks_.empty() ||
                pending_callbacks_.back().first < index);
   NATTO_DCHECK(propose_times_.empty() || propose_times_.back().first < index);
-  if (on_committed) pending_callbacks_.emplace_back(index, std::move(on_committed));
+  if (on_committed) {
+    pending_callbacks_.emplace_back(index, std::move(on_committed));
+  }
   if (options_.fail_away_commit_latency > 0) {
     propose_times_.emplace_back(index, TrueNow());
   }
@@ -534,9 +535,10 @@ void RaftReplica::HandleAppendResponse(uint64_t term, bool success,
 
 void RaftReplica::AdvanceCommit() {
   if (role_ != Role::kLeader) return;
-  // The leader's own match index is its log size.
-  std::vector<uint64_t> matches;
-  matches.reserve(peers_.size());
+  // The leader's own match index is its log size. The buffer is a member
+  // so the per-ack commit check allocates nothing.
+  std::vector<uint64_t>& matches = match_scratch_;
+  matches.clear();
   for (size_t i = 0; i < peers_.size(); ++i) {
     matches.push_back(i == self_index_ ? log_.size()
                                        : peer_state_[i].match_index);
@@ -580,7 +582,7 @@ void RaftReplica::ApplyCommitted() {
   // re-reads both on every step.
   while (!pending_callbacks_.empty() &&
          pending_callbacks_.front().first <= commit_index_) {
-    std::function<void()> cb = std::move(pending_callbacks_.front().second);
+    sim::EventFn cb = std::move(pending_callbacks_.front().second);
     pending_callbacks_.pop_front();
     cb();
   }

@@ -129,9 +129,10 @@ class RaftReplica : public net::Node {
 
   /// Leader-only: appends `payload` to the log and replicates it;
   /// `on_committed` fires on this node once a majority has the entry.
-  /// Returns Unavailable if this replica is not the leader (callback
-  /// dropped).
-  Status Propose(PayloadId payload, std::function<void()> on_committed);
+  /// Returns Unavailable if this replica is not the leader; the callback is
+  /// then left untouched in the caller's hands (it is only moved from on
+  /// success).
+  Status Propose(PayloadId payload, sim::EventFn&& on_committed);
 
   /// Fires for every payload as it commits on this replica (leader and
   /// followers), in log order. Used by tests to check replica agreement.
@@ -234,10 +235,11 @@ class RaftReplica : public net::Node {
   uint64_t applied_index_ = 0;
 
   std::vector<PeerState> peer_state_;
+  std::vector<uint64_t> match_scratch_;  // AdvanceCommit's sort buffer
   // Callbacks for locally proposed entries, a FIFO in log-index order:
   // ApplyCommitted pops committed entries off the front, and losing
   // leadership trims uncommitted ones off the back.
-  std::deque<std::pair<uint64_t, std::function<void()>>> pending_callbacks_;
+  std::deque<std::pair<uint64_t, sim::EventFn>> pending_callbacks_;
   std::function<void(PayloadId)> on_apply_;
   std::function<void(RaftReplica*)> on_became_leader_;
 

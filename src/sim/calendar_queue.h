@@ -77,7 +77,7 @@ class CalendarQueue {
   /// Inserts an event. `t` must be >= the time of the last popped event
   /// (the simulator clamps to Now() first) and `seq` strictly larger than
   /// every previously pushed seq.
-  void Push(SimTime t, uint64_t seq, EventFn fn,
+  void Push(SimTime t, uint64_t seq, EventFn&& fn,
             uint64_t parent_seq = ~uint64_t{0}) {
     EventNode* n = AllocNode();
     n->time = t;
@@ -202,8 +202,8 @@ class CalendarQueue {
     if (b > cursor_bucket_) cursor_bucket_ = b;
   }
 
-  /// Returns a node to the free list. The node's closure must already be
-  /// moved out or reset.
+  /// Returns a node to the free list, destroying its closure (the kernel
+  /// fires closures in place and recycles afterwards).
   void Recycle(EventNode* n) {
     n->fn.Reset();
     n->next = free_list_;

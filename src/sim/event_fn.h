@@ -16,23 +16,29 @@ namespace natto::sim {
 /// bigger, so each Schedule paid a malloc/free pair), and it insists on
 /// copyability, forcing shared_ptr detours for move-only captures.
 ///
-/// The inline capacity is sized from the real closures on the delivery hot
-/// path, measured in sim_kernel_test.cc (DESIGN.md §4.8 lists the numbers):
-/// the largest is a coordinator HandleBegin delivery capturing a wire
-/// transaction plus its participant list (~144 bytes). Closures above the
-/// capacity still work — they fall back to a single heap allocation, the
-/// same cost std::function paid for nearly everything.
-class EventFn {
- public:
-  static constexpr std::size_t kInlineCapacity = 152;
+/// `EventFn` (below) is the `void()` instance every event, message delivery
+/// and raft completion carries. Its inline capacity is sized from the real
+/// closures on the delivery hot path, measured in sim_kernel_test.cc
+/// (DESIGN.md §4.8 lists the numbers): the largest is a coordinator
+/// HandleBegin delivery capturing a wire transaction plus its participant
+/// list (~144 bytes). Closures above the capacity still work — they fall
+/// back to a single heap allocation, the same cost std::function paid for
+/// nearly everything.
+template <typename Signature, std::size_t Capacity>
+class InlineFn;
 
-  EventFn() = default;
+template <typename R, typename... Args, std::size_t Capacity>
+class InlineFn<R(Args...), Capacity> {
+ public:
+  static constexpr std::size_t kInlineCapacity = Capacity;
+
+  InlineFn() = default;
 
   template <typename F,
             typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, EventFn> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  EventFn(F&& f) {  // NOLINT(google-explicit-constructor)
+                !std::is_same_v<std::decay_t<F>, InlineFn> &&
+                std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
+  InlineFn(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::decay_t<F>;
     if constexpr (sizeof(Fn) <= kInlineCapacity &&
                   alignof(Fn) <= kStorageAlign &&
@@ -48,9 +54,9 @@ class EventFn {
     }
   }
 
-  EventFn(EventFn&& other) noexcept { MoveFrom(other); }
+  InlineFn(InlineFn&& other) noexcept { MoveFrom(other); }
 
-  EventFn& operator=(EventFn&& other) noexcept {
+  InlineFn& operator=(InlineFn&& other) noexcept {
     if (this != &other) {
       Reset();
       MoveFrom(other);
@@ -58,10 +64,10 @@ class EventFn {
     return *this;
   }
 
-  EventFn(const EventFn&) = delete;
-  EventFn& operator=(const EventFn&) = delete;
+  InlineFn(const InlineFn&) = delete;
+  InlineFn& operator=(const InlineFn&) = delete;
 
-  ~EventFn() { Reset(); }
+  ~InlineFn() { Reset(); }
 
   /// Destroys the held callable (no-op when empty).
   void Reset() {
@@ -72,7 +78,9 @@ class EventFn {
     }
   }
 
-  void operator()() { invoke_(this); }
+  R operator()(Args... args) {
+    return invoke_(this, std::forward<Args>(args)...);
+  }
 
   explicit operator bool() const { return invoke_ != nullptr; }
 
@@ -81,16 +89,17 @@ class EventFn {
 
   enum class Op { kDestroy, kMoveTo };
 
-  using InvokeFn = void (*)(EventFn*);
-  using ManageFn = void (*)(Op, EventFn*, EventFn*);
+  using InvokeFn = R (*)(InlineFn*, Args&&...);
+  using ManageFn = void (*)(Op, InlineFn*, InlineFn*);
 
   template <typename Fn>
-  static void InlineInvoke(EventFn* self) {
-    (*std::launder(reinterpret_cast<Fn*>(self->storage_)))();
+  static R InlineInvoke(InlineFn* self, Args&&... args) {
+    return (*std::launder(reinterpret_cast<Fn*>(self->storage_)))(
+        std::forward<Args>(args)...);
   }
 
   template <typename Fn>
-  static void InlineManage(Op op, EventFn* self, EventFn* dst) {
+  static void InlineManage(Op op, InlineFn* self, InlineFn* dst) {
     Fn* f = std::launder(reinterpret_cast<Fn*>(self->storage_));
     if (op == Op::kMoveTo) {
       ::new (static_cast<void*>(dst->storage_)) Fn(std::move(*f));
@@ -99,12 +108,13 @@ class EventFn {
   }
 
   template <typename Fn>
-  static void HeapInvoke(EventFn* self) {
-    (**std::launder(reinterpret_cast<Fn**>(self->storage_)))();
+  static R HeapInvoke(InlineFn* self, Args&&... args) {
+    return (**std::launder(reinterpret_cast<Fn**>(self->storage_)))(
+        std::forward<Args>(args)...);
   }
 
   template <typename Fn>
-  static void HeapManage(Op op, EventFn* self, EventFn* dst) {
+  static void HeapManage(Op op, InlineFn* self, InlineFn* dst) {
     Fn** slot = std::launder(reinterpret_cast<Fn**>(self->storage_));
     if (op == Op::kMoveTo) {
       ::new (static_cast<void*>(dst->storage_)) Fn*(*slot);
@@ -113,7 +123,7 @@ class EventFn {
     }
   }
 
-  void MoveFrom(EventFn& other) noexcept {
+  void MoveFrom(InlineFn& other) noexcept {
     invoke_ = other.invoke_;
     manage_ = other.manage_;
     if (manage_ != nullptr) {
@@ -127,6 +137,12 @@ class EventFn {
   ManageFn manage_ = nullptr;
   alignas(kStorageAlign) unsigned char storage_[kInlineCapacity];
 };
+
+/// The kernel's callback type: events, message deliveries, raft commit
+/// completions. Passed by rvalue reference end to end and fired in place
+/// in its event node, so a closure is constructed once and moved once
+/// (into its node or envelope).
+using EventFn = InlineFn<void(), 152>;
 
 }  // namespace natto::sim
 

@@ -4,6 +4,7 @@
 #include <ctime>
 
 #include <algorithm>
+#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -150,13 +151,15 @@ size_t Simulator::ParallelPending() const {
 }
 
 Simulator::EventId Simulator::ParallelSchedule(int site, SimTime t,
-                                               Callback cb) {
+                                               Callback&& cb) {
   return parallel_->Schedule(site, t, std::move(cb));
 }
 
 bool Simulator::ParallelCancel(EventId id) { return parallel_->Cancel(id); }
 
-void Simulator::ParallelDefer(Callback fn) { parallel_->Defer(std::move(fn)); }
+void Simulator::ParallelDefer(Callback&& fn) {
+  parallel_->Defer(std::move(fn));
+}
 
 void Simulator::SetParallelPhaseStats(ParallelPhaseStats* stats) {
   if (parallel_ != nullptr) parallel_->phase_stats_ = stats;
@@ -210,7 +213,7 @@ int ParallelKernel::Lane() const {
   return tls_ctx != nullptr ? 1 + tls_ctx->site : 0;
 }
 
-uint64_t ParallelKernel::Schedule(int site, SimTime t, EventFn fn) {
+uint64_t ParallelKernel::Schedule(int site, SimTime t, EventFn&& fn) {
   if (tls_ctx != nullptr) {
     return WorkerSchedule(*tls_ctx, site, t, std::move(fn));
   }
@@ -222,7 +225,7 @@ bool ParallelKernel::Cancel(uint64_t id) {
   return MainCancel(id);
 }
 
-void ParallelKernel::Defer(EventFn fn) {
+void ParallelKernel::Defer(EventFn&& fn) {
   if (tls_ctx == nullptr) {
     // Main thread: serialized fires (and code between runs) already execute
     // in serial order, so the side effect applies immediately — identical
@@ -237,7 +240,8 @@ void ParallelKernel::Defer(EventFn fn) {
   ctx.ops.push_back(WorkerOp{WorkerOp::kSideEffect, false, 0, 0, 0, idx});
 }
 
-uint64_t ParallelKernel::MainSchedule(int site, SimTime t, EventFn fn) {
+uint64_t ParallelKernel::MainSchedule(int site, SimTime t,
+                                      EventFn&& fn) {
   NATTO_DCHECK(!merging_)
       << "DeferOrdered callbacks must not schedule events (the merge replay "
          "is assigning canonical seqs)";
@@ -262,20 +266,21 @@ bool ParallelKernel::MainCancel(uint64_t id) {
          "owns the tombstone set)";
   uint64_t key = id;
   if ((key & kProvBit) != 0 && key != Simulator::kNoParent) {
-    auto it = prov2canon_.find(key);
-    // Unknown provisional id: either never issued, or its event already
-    // fired and the mapping was pruned. Serial code would insert a stale
-    // tombstone for the latter; here the cancel is reported ineffective —
-    // the documented deviation bought by bounded mapping memory.
-    if (it == prov2canon_.end()) return false;
-    key = it->second;
+    NATTO_DCHECK(track_cancel_ids_)
+        << "cancel of a cross-window event id needs track_cancel_ids";
+    const uint64_t* canon = prov2canon_.find(key);
+    // Unknown provisional id: never issued. (Mappings are kept for the
+    // whole run, so an id whose event already fired still resolves and
+    // lays a stale tombstone, exactly as in serial.)
+    if (canon == nullptr) return false;
+    key = *canon;
   }
   if (key >= sim_->next_seq_) return false;
-  return sim_->cancelled_.insert(key).second;
+  return sim_->cancelled_.insert(key);
 }
 
 uint64_t ParallelKernel::WorkerSchedule(ParallelSiteContext& ctx, int site,
-                                        SimTime t, EventFn fn) {
+                                        SimTime t, EventFn&& fn) {
   int dst = site == Simulator::kInheritSite ? ctx.site : site;
   NATTO_DCHECK(dst >= 0 && dst < num_sites_)
       << "worker-lane callbacks cannot schedule onto the global queue";
@@ -312,9 +317,11 @@ bool ParallelKernel::WorkerCancel(ParallelSiteContext& ctx, uint64_t id) {
         sites_[static_cast<size_t>(psite)]->prov_floor) {
       // Issued by an earlier window: resolvable iff still mapped
       // (prov2canon_ is read-only while workers run).
-      auto it = prov2canon_.find(key);
-      if (it == prov2canon_.end()) return false;
-      key = it->second;
+      NATTO_DCHECK(track_cancel_ids_)
+          << "cancel of a cross-window event id needs track_cancel_ids";
+      const uint64_t* canon = prov2canon_.find(key);
+      if (canon == nullptr) return false;
+      key = *canon;
     }
     // Else: issued this window; the live node / deferred op carries the
     // provisional id itself, so it is the tombstone key.
@@ -330,7 +337,7 @@ bool ParallelKernel::WorkerCancel(ParallelSiteContext& ctx, uint64_t id) {
   }
   if ((key & kProvBit) == 0) {
     if (key >= sim_->next_seq_) return false;
-    if (!sim_->cancelled_.empty() && sim_->cancelled_.count(key) > 0) {
+    if (sim_->cancelled_.contains(key)) {
       return false;  // pre-window tombstone still pending
     }
   }
@@ -407,11 +414,10 @@ void ParallelKernel::SerializedFire(int site) {
   }
   sim_->firing_seq_ = n->seq;
   main_site_ = site;  // kInheritSite schedules stay on the firing site
-  EventFn fn = std::move(n->fn);
-  q.Recycle(n);
-  fn();
+  n->fn();  // in place, as in Simulator::FireOrDiscard
   sim_->firing_seq_ = Simulator::kNoParent;
   main_site_ = Simulator::kGlobalSite;
+  q.Recycle(n);
 }
 
 void ParallelKernel::RunWindow(SimTime w_end) {
@@ -484,7 +490,7 @@ void ParallelKernel::RunSite(ParallelSiteContext& ctx) {
         it->second = false;  // tombstone consumed
         discard = true;
       }
-    } else if (!sim_->cancelled_.empty() && sim_->cancelled_.count(id) > 0) {
+    } else if (!sim_->cancelled_.empty() && sim_->cancelled_.contains(id)) {
       // Pre-window tombstone. The shared set is read-only during the
       // window; record the consumption locally (enabling serial re-cancel
       // semantics) and erase at merge.
@@ -504,12 +510,11 @@ void ParallelKernel::RunSite(ParallelSiteContext& ctx) {
                    false,   0,     static_cast<uint32_t>(ctx.ops.size()),
                    0};
     ctx.firing_id = id;
-    EventFn fn = std::move(n->fn);
-    ctx.queue.Recycle(n);
     Rng::SetThreadDrawDelta(&rec.rng_delta);
-    fn();
+    n->fn();  // in place; the popped node is on no list until recycled
     Rng::SetThreadDrawDelta(nullptr);
     ctx.firing_id = Simulator::kNoParent;
+    ctx.queue.Recycle(n);
     rec.num_ops = static_cast<uint32_t>(ctx.ops.size()) - rec.first_op;
     ctx.log.push_back(rec);
   }
@@ -534,12 +539,13 @@ uint64_t ParallelKernel::ResolveParent(uint64_t parent) const {
 }
 
 void ParallelKernel::MergeWindow() {
+  /// The closure stays in its origin site's deferred_fns until the push.
   struct DeferredPush {
     int dst_site;
     SimTime time;
     uint64_t seq;
     uint64_t parent;
-    EventFn fn;
+    EventFn* fn;
   };
   std::vector<DeferredPush> deferred;
   DeterminismLedger* ledger = sim_->ledger_;
@@ -597,12 +603,12 @@ void ParallelKernel::MergeWindow() {
         if (track_cancel_ids_ && !op.live) {
           // Deferred events outlive the window; keep a hashmap entry so
           // later Cancels can still resolve the provisional id.
-          prov2canon_.emplace(op.id, seq);
+          prov2canon_[op.id] = seq;
         }
         if (!op.live) {
           deferred.push_back(
               DeferredPush{op.dst_site, op.time, seq, pick_id,
-                           std::move(pick->deferred_fns[op.deferred_index])});
+                           &pick->deferred_fns[op.deferred_index]});
         }
       } else if (op.kind == WorkerOp::kSideEffect) {
         // DeferOrdered side effect: applied here, at its event's canonical
@@ -610,7 +616,7 @@ void ParallelKernel::MergeWindow() {
         // serial kernel would have run it inline.
         pick->deferred_fns[op.deferred_index]();
       } else {
-        bool inserted = sim_->cancelled_.insert(ResolveId(op.id)).second;
+        bool inserted = sim_->cancelled_.insert(ResolveId(op.id));
         NATTO_DCHECK(inserted);
         (void)inserted;
       }
@@ -626,7 +632,7 @@ void ParallelKernel::MergeWindow() {
   // >= window_end > max_fired, so per-timestamp FIFO invariants hold.
   for (DeferredPush& d : deferred) {
     sites_[static_cast<size_t>(d.dst_site)]->queue.Push(
-        d.time, d.seq, std::move(d.fn), d.parent);
+        d.time, d.seq, std::move(*d.fn), d.parent);
   }
 
   if (ledger != nullptr) {

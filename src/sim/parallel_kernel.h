@@ -7,9 +7,9 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "common/sim_time.h"
 #include "sim/event_fn.h"
 #include "sim/simulator.h"
@@ -89,15 +89,15 @@ class ParallelKernel {
   // Simulator delegates (see the matching Simulator methods).
   SimTime NowOnLane() const;
   int Lane() const;
-  uint64_t Schedule(int site, SimTime t, EventFn fn);
+  uint64_t Schedule(int site, SimTime t, EventFn&& fn);
   bool Cancel(uint64_t id);
-  void Defer(EventFn fn);
+  void Defer(EventFn&& fn);
   void RunUntilTime(SimTime limit, bool settle);
 
-  uint64_t MainSchedule(int site, SimTime t, EventFn fn);
+  uint64_t MainSchedule(int site, SimTime t, EventFn&& fn);
   bool MainCancel(uint64_t id);
   uint64_t WorkerSchedule(ParallelSiteContext& ctx, int site, SimTime t,
-                          EventFn fn);
+                          EventFn&& fn);
   bool WorkerCancel(ParallelSiteContext& ctx, uint64_t id);
 
   void SerializedFire(int site);
@@ -138,7 +138,7 @@ class ParallelKernel {
   /// `track_cancel_ids` (so later Cancels resolve), which grows one entry
   /// per such schedule over the run. This-window ids resolve through the
   /// dense per-site `canon` vectors instead (see ParallelSiteContext).
-  std::unordered_map<uint64_t, uint64_t> prov2canon_;
+  FlatMap<uint64_t> prov2canon_;
 
   // Worker pool. Dispatch is epoch-based: the main thread bumps epoch_
   // under mu_ and workers race through next_site_ claiming sites; the

@@ -7,7 +7,7 @@
 
 namespace natto::sim {
 
-Simulator::EventId Simulator::ScheduleAt(SimTime t, Callback cb) {
+Simulator::EventId Simulator::ScheduleAt(SimTime t, Callback&& cb) {
   if (parallel_ != nullptr) {
     return ParallelSchedule(kInheritSite, t, std::move(cb));
   }
@@ -19,7 +19,8 @@ Simulator::EventId Simulator::ScheduleAt(SimTime t, Callback cb) {
   return seq;
 }
 
-Simulator::EventId Simulator::ScheduleAtSite(int site, SimTime t, Callback cb) {
+Simulator::EventId Simulator::ScheduleAtSite(int site, SimTime t,
+                                              Callback&& cb) {
   if (parallel_ != nullptr) {
     return ParallelSchedule(site, t, std::move(cb));
   }
@@ -27,13 +28,14 @@ Simulator::EventId Simulator::ScheduleAtSite(int site, SimTime t, Callback cb) {
   return ScheduleAt(t, std::move(cb));
 }
 
-Simulator::EventId Simulator::ScheduleAfter(SimDuration delay, Callback cb) {
+Simulator::EventId Simulator::ScheduleAfter(SimDuration delay,
+                                              Callback&& cb) {
   if (delay < 0) delay = 0;
   // Now(), not now_: on a parallel worker lane "now" is the site clock.
   return ScheduleAt(Now() + delay, std::move(cb));
 }
 
-void Simulator::DeferOrdered(Callback fn) {
+void Simulator::DeferOrdered(Callback&& fn) {
   if (parallel_ != nullptr) {
     ParallelDefer(std::move(fn));
     return;
@@ -44,7 +46,7 @@ void Simulator::DeferOrdered(Callback fn) {
 bool Simulator::Cancel(EventId id) {
   if (parallel_ != nullptr) return ParallelCancel(id);
   if (id >= next_seq_) return false;
-  return cancelled_.insert(id).second;
+  return cancelled_.insert(id);
 }
 
 void Simulator::FireOrDiscard(EventNode* n) {
@@ -60,15 +62,15 @@ void Simulator::FireOrDiscard(EventNode* n) {
   if (ledger_ != nullptr) {
     ledger_->RecordEvent(n->time, n->seq, n->parent_seq);
   }
-  // The callback must be moved out before it runs: it may schedule new
-  // events, and the node's storage is recycled into the pool they draw
-  // from. firing_seq_ tags those schedules with this event as their causal
-  // parent (consumed by the dsan ledger).
+  // The callback runs in place: the popped node sits on no list (not even
+  // the free list), so events it schedules draw other nodes and the
+  // closure never moves. Recycling waits until it returns. firing_seq_
+  // tags those schedules with this event as their causal parent (consumed
+  // by the dsan ledger).
   firing_seq_ = n->seq;
-  EventFn fn = std::move(n->fn);
-  queue_.Recycle(n);
-  fn();
+  n->fn();
   firing_seq_ = kNoParent;
+  queue_.Recycle(n);
 }
 
 void Simulator::Run() {

@@ -4,8 +4,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 
+#include "common/flat_table.h"
 #include "common/sim_time.h"
 #include "sim/calendar_queue.h"
 #include "sim/event_fn.h"
@@ -71,7 +71,7 @@ class Simulator {
   /// Schedules `cb` to run at absolute simulated time `t` (>= Now()).
   /// Scheduling in the past is a programming error (NATTO_DCHECK); release
   /// builds clamp to Now(), mirroring ScheduleAfter's negative-delay clamp.
-  EventId ScheduleAt(SimTime t, Callback cb);
+  EventId ScheduleAt(SimTime t, Callback&& cb);
 
   /// Site-routing sentinels for ScheduleAtSite.
   static constexpr int kGlobalSite = -1;   // main-thread global queue
@@ -82,11 +82,11 @@ class Simulator {
   /// Site-parallel kernel: the event lands in `site`'s calendar queue and
   /// fires on that site's lane. Cross-site schedules from a worker must
   /// satisfy t >= window_end (guaranteed when t >= Now() + lookahead).
-  EventId ScheduleAtSite(int site, SimTime t, Callback cb);
+  EventId ScheduleAtSite(int site, SimTime t, Callback&& cb);
 
   /// Schedules `cb` to run `delay` after Now(). Negative delays are clamped
   /// to zero (a message can never arrive in the past).
-  EventId ScheduleAfter(SimDuration delay, Callback cb);
+  EventId ScheduleAfter(SimDuration delay, Callback&& cb);
 
   /// Runs `fn` in exact serial order with respect to every event and every
   /// other DeferOrdered call. On the serial kernel (and from main-thread
@@ -100,7 +100,7 @@ class Simulator {
   /// schedule or cancel events, must not draw from instrumented RNGs, and
   /// the state it touches must only ever be mutated through DeferOrdered
   /// (all three violations trip NATTO_DCHECKs in the merge).
-  void DeferOrdered(Callback fn);
+  void DeferOrdered(Callback&& fn);
 
   /// Cancels a pending event: it will be discarded unexecuted (without
   /// advancing the clock) when its time arrives. Returns false if `id` was
@@ -163,17 +163,17 @@ class Simulator {
  private:
   friend class ParallelKernel;
 
-  /// Runs the node's callback (or discards it if cancelled) and recycles
-  /// the node into the queue's pool.
+  /// Runs the node's callback in place (or discards it if cancelled), then
+  /// recycles the node into the queue's pool.
   void FireOrDiscard(EventNode* n);
 
   /// Parallel-kernel delegates, defined in parallel_kernel.cc (the only TU
   /// that sees the full ParallelKernel type).
   SimTime ParallelNow() const;
   size_t ParallelPending() const;
-  EventId ParallelSchedule(int site, SimTime t, Callback cb);
+  EventId ParallelSchedule(int site, SimTime t, Callback&& cb);
   bool ParallelCancel(EventId id);
-  void ParallelDefer(Callback fn);
+  void ParallelDefer(Callback&& fn);
   void ParallelRun(SimTime limit, bool settle);
 
   SimTime now_ = 0;
@@ -190,7 +190,7 @@ class Simulator {
   std::unique_ptr<ParallelKernel> parallel_;
   /// Tombstones for Cancel(); consulted only when non-empty, so the
   /// fault-free hot path pays a single empty() test per event.
-  std::unordered_set<uint64_t> cancelled_;
+  FlatSet cancelled_;
 };
 
 }  // namespace natto::sim

@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "net/node.h"
 #include "obs/abort_cause.h"
 #include "obs/metrics.h"
@@ -105,7 +106,7 @@ class SpannerServer : public net::Node {
   store::KvStore kv_;
   store::LockTable locks_;
   std::unordered_map<TxnId, LocalTxn> txns_;
-  std::unordered_set<TxnId> finished_;
+  FlatSet finished_;
 
   // Registered under spanner.p<N>. (lock-table contention counters live
   // under spanner.p<N>.locks.).
@@ -157,7 +158,7 @@ class SpannerCoordinator : public net::Node {
   raft::PayloadIdAllocator payload_ids_;
   std::unordered_map<TxnId, TxnState> txns_;
   std::unordered_set<TxnId> early_wounds_;
-  std::unordered_set<TxnId> decided_;
+  FlatSet decided_;
 
   // Registered under spanner.coord.s<site>.
   obs::Counter* wounds_received_ = nullptr;

@@ -6,8 +6,7 @@ KvStore::KvStore(DefaultValueFn default_value_fn)
     : default_value_fn_(std::move(default_value_fn)) {}
 
 VersionedValue KvStore::Get(Key key) const {
-  auto it = data_.find(key);
-  if (it != data_.end()) return it->second;
+  if (const VersionedValue* v = data_.find(key)) return *v;
   VersionedValue v;
   v.value = default_value_fn_ ? default_value_fn_(key) : 0;
   v.version = 0;
@@ -16,14 +15,12 @@ VersionedValue KvStore::Get(Key key) const {
 }
 
 void KvStore::Apply(Key key, Value value, TxnId writer) {
-  auto it = data_.find(key);
-  if (it == data_.end()) {
-    data_[key] = VersionedValue{value, 1, writer};
-  } else {
-    it->second.value = value;
-    ++it->second.version;
-    it->second.writer = writer;
-  }
+  // A fresh entry is value-initialized at version 0, so the first apply
+  // lands at version 1 like every later one bumps by one.
+  VersionedValue& v = data_[key];
+  v.value = value;
+  ++v.version;
+  v.writer = writer;
 }
 
 }  // namespace natto::store

@@ -3,8 +3,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 
+#include "common/flat_table.h"
 #include "common/types.h"
 
 namespace natto::store {
@@ -41,7 +41,7 @@ class KvStore {
 
  private:
   DefaultValueFn default_value_fn_;
-  std::unordered_map<Key, VersionedValue> data_;
+  FlatMap<VersionedValue> data_;
 };
 
 }  // namespace natto::store

@@ -2,10 +2,9 @@
 #define NATTO_STORE_PREPARED_SET_H_
 
 #include <cstddef>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "common/types.h"
 
 namespace natto::store {
@@ -15,7 +14,8 @@ namespace natto::store {
 /// conflict iff one writes a key the other reads or writes.
 class PreparedSet {
  public:
-  /// Registers a prepared transaction's footprint on this partition.
+  /// Registers a prepared transaction's footprint on this partition. A key
+  /// may repeat within a set and may be both read and written.
   void Add(TxnId txn, const std::vector<Key>& reads,
            const std::vector<Key>& writes);
 
@@ -41,13 +41,15 @@ class PreparedSet {
     std::vector<Key> writes;
   };
 
+  /// Prepared transactions touching one key. Usually 0-2 ids each, so a
+  /// linear scan beats any hashed set; each id appears at most once.
   struct KeyUse {
-    std::unordered_set<TxnId> readers;
-    std::unordered_set<TxnId> writers;
+    std::vector<TxnId> readers;
+    std::vector<TxnId> writers;
   };
 
-  std::unordered_map<TxnId, Footprint> footprints_;
-  std::unordered_map<Key, KeyUse> by_key_;
+  FlatMap<Footprint> footprints_;
+  FlatMap<KeyUse> by_key_;
 };
 
 }  // namespace natto::store

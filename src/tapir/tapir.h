@@ -4,9 +4,9 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "net/node.h"
 #include "obs/abort_cause.h"
 #include "obs/metrics.h"
@@ -57,7 +57,7 @@ class TapirReplica : public net::Node {
   int replica_;
   store::KvStore kv_;
   store::PreparedSet prepared_;
-  std::unordered_set<TxnId> finished_;
+  FlatSet finished_;
 
   // Registered under tapir.replica.p<N>.r<M>.
   obs::Counter* prepare_vote_no_ = nullptr;

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "common/flat_table.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -176,6 +181,135 @@ TEST(LoggingTest, DcheckCompilesAsSingleStatementInIfElse) {
   else
     branch = 2;
   EXPECT_EQ(branch, 0);
+}
+
+
+// ---------------------------------------------------------------------------
+// FlatMap / FlatSet
+// ---------------------------------------------------------------------------
+
+/// Key drawn from a mix of shapes: a small dense range (hits), TxnId-style
+/// (client << 32 | seq), values differing only in high bits (weak for
+/// multiplicative hashing), and the two edge keys 0 and ~0.
+uint64_t DrawKey(Rng& rng) {
+  switch (rng.UniformInt(0, 4)) {
+    case 0:
+      return static_cast<uint64_t>(rng.UniformInt(0, 300));
+    case 1:
+      return MakeTxnId(static_cast<uint32_t>(rng.UniformInt(0, 40)),
+                       static_cast<uint32_t>(rng.UniformInt(0, 40)));
+    case 2:
+      return static_cast<uint64_t>(rng.UniformInt(0, 60)) << 52;
+    case 3:
+      return rng.UniformInt(0, 1) == 0 ? 0 : ~uint64_t{0};
+    default:
+      return static_cast<uint64_t>(rng.UniformInt(0, 1'000'000));
+  }
+}
+
+TEST(FlatMapTest, LockstepsStdUnorderedMapThroughGrowthAndEraseStorms) {
+  Rng rng(2024);
+  FlatMap<std::string> flat;
+  std::unordered_map<uint64_t, std::string> ref;
+  // Phases alternate insert-heavy and erase-heavy mixes; the insert phases
+  // grow the table through several doublings, the erase phases exercise
+  // backward-shift relocation of displaced neighbours.
+  const int kInsertPercent[] = {80, 20, 90, 10, 85, 5, 70};
+  for (int insert_pct : kInsertPercent) {
+    for (int step = 0; step < 6000; ++step) {
+      uint64_t k = DrawKey(rng);
+      int op = static_cast<int>(rng.UniformInt(0, 99));
+      if (op < insert_pct) {
+        std::string v = std::to_string(step) + "/" + std::to_string(k);
+        auto [slot, inserted] = flat.try_emplace(k);
+        auto [it, ref_inserted] = ref.try_emplace(k);
+        ASSERT_EQ(inserted, ref_inserted) << "key " << k;
+        ASSERT_EQ(*slot, it->second) << "key " << k;
+        *slot = v;
+        it->second = v;
+      } else if (op < insert_pct + (100 - insert_pct) / 2) {
+        ASSERT_EQ(flat.erase(k), ref.erase(k)) << "key " << k;
+      } else {
+        const std::string* got = flat.find(k);
+        auto it = ref.find(k);
+        ASSERT_EQ(got != nullptr, it != ref.end()) << "key " << k;
+        if (got != nullptr) {
+          ASSERT_EQ(*got, it->second) << "key " << k;
+        }
+      }
+      ASSERT_EQ(flat.size(), ref.size());
+    }
+    // Full cross-check: every reference entry is findable with its value.
+    for (const auto& [k, v] : ref) {
+      const std::string* got = flat.find(k);
+      ASSERT_NE(got, nullptr) << "key " << k;
+      ASSERT_EQ(*got, v) << "key " << k;
+    }
+  }
+  // Grow from empty through many doublings, then erase everything.
+  FlatMap<uint64_t> big;
+  for (uint64_t i = 0; i < 50'000; ++i) big[i * 7919] = i;
+  ASSERT_EQ(big.size(), 50'000u);
+  for (uint64_t i = 0; i < 50'000; ++i) {
+    const uint64_t* v = big.find(i * 7919);
+    ASSERT_NE(v, nullptr);
+    ASSERT_EQ(*v, i);
+  }
+  for (uint64_t i = 0; i < 50'000; i += 2) ASSERT_EQ(big.erase(i * 7919), 1u);
+  for (uint64_t i = 0; i < 50'000; ++i) {
+    ASSERT_EQ(big.contains(i * 7919), i % 2 == 1) << i;
+  }
+  for (uint64_t i = 1; i < 50'000; i += 2) ASSERT_EQ(big.erase(i * 7919), 1u);
+  EXPECT_TRUE(big.empty());
+}
+
+TEST(FlatMapTest, EdgeKeysZeroAndAllOnesAreOrdinaryKeys) {
+  FlatMap<int> m;
+  EXPECT_FALSE(m.contains(0));
+  EXPECT_EQ(m.erase(0), 0u);
+  m[0] = 5;
+  m[~uint64_t{0}] = 7;
+  EXPECT_EQ(m.size(), 2u);
+  EXPECT_EQ(*m.find(0), 5);
+  EXPECT_EQ(*m.find(~uint64_t{0}), 7);
+  EXPECT_FALSE(m.try_emplace(0).second);
+  EXPECT_EQ(m.erase(0), 1u);
+  EXPECT_FALSE(m.contains(0));
+  EXPECT_EQ(m[0], 0);  // re-inserted value-initialized, not the stale 5
+  EXPECT_EQ(m.erase(~uint64_t{0}), 1u);
+  EXPECT_EQ(m.size(), 1u);
+}
+
+TEST(FlatMapTest, MovedFromMapIsEmptyAndReusable) {
+  FlatMap<int> a;
+  a[1] = 1;
+  a[0] = 2;
+  FlatMap<int> b(std::move(a));
+  EXPECT_EQ(b.size(), 2u);
+  EXPECT_EQ(*b.find(1), 1);
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(a.contains(1));
+  a[5] = 5;
+  EXPECT_EQ(*a.find(5), 5);
+  b = std::move(a);
+  EXPECT_EQ(b.size(), 1u);
+  EXPECT_FALSE(b.contains(1));
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(FlatSetTest, InsertReportsNoveltyAndEraseReportsRemoval) {
+  FlatSet s;
+  EXPECT_TRUE(s.empty());
+  EXPECT_TRUE(s.insert(42));
+  EXPECT_FALSE(s.insert(42));
+  EXPECT_TRUE(s.insert(0));
+  EXPECT_TRUE(s.contains(0));
+  EXPECT_EQ(s.erase(42), 1u);
+  EXPECT_EQ(s.erase(42), 0u);
+  EXPECT_FALSE(s.contains(42));
+  EXPECT_FALSE(s.empty());
+  EXPECT_EQ(s.erase(0), 1u);
+  EXPECT_TRUE(s.empty());
 }
 
 }  // namespace

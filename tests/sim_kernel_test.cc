@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <string>
 #include <tuple>
 #include <unordered_set>
 #include <utility>
@@ -381,6 +382,69 @@ TEST(SimKernelTest, CancelledEventIsDiscardedWithoutRunningOrAdvancing) {
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
+TEST(SimKernelTest, InPlaceCallbackSchedulesMoreThanOnePoolChunk) {
+  // Callbacks run in place in their event node, which stays off every list
+  // until the callback returns. Scheduling well over one pool chunk (256
+  // nodes) from inside forces the pool to grow mid-callback; the firing
+  // node must not be handed out again, and the closure's own captures
+  // (including a heap-owning one) must read back intact afterwards.
+  auto drive = [](auto& sim) {
+    std::vector<uint64_t> order;
+    std::array<uint64_t, 8> tag;
+    tag.fill(0xC0FFEE);
+    std::string owned(64, 'x');
+    sim.ScheduleAt(Millis(1), [&sim, &order, tag, owned]() {
+      for (uint64_t i = 0; i < 600; ++i) {
+        sim.ScheduleAt(sim.Now() + static_cast<SimTime>((i * 7919) % 1000),
+                       [&order, i]() { order.push_back(i); });
+      }
+      for (uint64_t v : tag) order.push_back(v);
+      order.push_back(owned.size());
+    });
+    sim.Run();
+    return std::make_tuple(order, sim.Now(), sim.executed_events(),
+                           sim.pending_events());
+  };
+  Simulator sim;
+  ReferenceSimulator ref;
+  auto actual = drive(sim);
+  EXPECT_EQ(actual, drive(ref));
+  const std::vector<uint64_t>& order = std::get<0>(actual);
+  ASSERT_EQ(order.size(), 609u);
+  for (size_t i = 0; i < 8; ++i) EXPECT_EQ(order[i], 0xC0FFEEu) << i;
+  EXPECT_EQ(order[8], 64u);
+  EXPECT_EQ(std::get<2>(actual), 601u);
+}
+
+TEST(SimKernelTest, CallbackCancellingItsOwnFiringIdLeavesAStaleTombstone) {
+  // Cancel of an id whose event is already running is a harmless no-op
+  // that still lays a (never-hit) tombstone and reports success; a second
+  // cancel finds the tombstone. Firing in place must not change that.
+  auto drive = [](auto& sim) {
+    std::vector<int> log;
+    auto self = std::make_shared<uint64_t>(0);
+    auto results = std::make_shared<std::vector<bool>>();
+    *self = sim.ScheduleAt(Millis(1), [&sim, &log, self, results]() {
+      log.push_back(1);
+      results->push_back(sim.Cancel(*self));
+      results->push_back(sim.Cancel(*self));
+      sim.ScheduleAt(sim.Now(), [&log]() { log.push_back(2); });
+    });
+    sim.ScheduleAt(Millis(2), [&log]() { log.push_back(3); });
+    sim.Run();
+    return std::make_tuple(log, *results, sim.Now(), sim.executed_events(),
+                           sim.pending_events());
+  };
+  Simulator sim;
+  ReferenceSimulator ref;
+  auto actual = drive(sim);
+  EXPECT_EQ(actual, drive(ref));
+  EXPECT_EQ(std::get<0>(actual), (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(std::get<1>(actual), (std::vector<bool>{true, false}));
+  EXPECT_EQ(std::get<2>(actual), Millis(2));
+  EXPECT_EQ(std::get<3>(actual), 3u);
+}
+
 TEST(SimKernelTest, CancelSurvivesOverflowMigration) {
   // Audit pin for CalendarQueue::Push's migrate-before-insert: an event
   // cancelled while parked in the overflow heap must still be discarded
@@ -491,16 +555,46 @@ TEST(CalendarQueueTest, SteadyStateChurnsWithoutGrowingThePool) {
 
 TEST(EventFnTest, InlineCapacityCoversTheMeasuredHotPathClosures) {
   // Capture shapes measured from the protocol delivery paths (the numbers
-  // DESIGN.md §4.8 cites). If a hot-path closure outgrows the capacity this
-  // static picture goes stale — re-measure before bumping kInlineCapacity.
-  auto vote_send = [p = std::array<char, 72>()]() { (void)p; };
+  // DESIGN.md §4.8 cites), as sizeof of the real captures on x86-64:
+  //   vote send           coordinator pointer + 72-byte NattoVote = 80
+  //   begin delivery      pointer + 112-byte NattoWireTxn + participants
+  //                       vector = 144 (the largest)
+  //   read-prepare        pointer + NattoWireTxn = 120
+  //   prepare completion  raft on_committed [this, id, version, coord,
+  //                       span name] = 32
+  //   transport delivery  {Transport*, Envelope*} = 16
+  // If a hot-path closure outgrows the capacity this static picture goes
+  // stale — re-measure before bumping kInlineCapacity.
+  auto vote_send = [p = std::array<char, 80>()]() { (void)p; };
   auto wire_txn_delivery = [p = std::array<char, 144>()]() { (void)p; };
+  auto read_prepare = [p = std::array<char, 120>()]() { (void)p; };
+  auto prepare_completion = [p = std::array<char, 32>()]() { (void)p; };
   auto transport_envelope = [p = std::array<char, 16>()]() { (void)p; };
   static_assert(sizeof(vote_send) <= EventFn::kInlineCapacity);
   static_assert(sizeof(wire_txn_delivery) <= EventFn::kInlineCapacity);
+  static_assert(sizeof(read_prepare) <= EventFn::kInlineCapacity);
+  static_assert(sizeof(prepare_completion) <= EventFn::kInlineCapacity);
   static_assert(sizeof(transport_envelope) <= EventFn::kInlineCapacity);
   EventFn f(std::move(wire_txn_delivery));
   EXPECT_TRUE(static_cast<bool>(f));
+}
+
+TEST(EventFnTest, InlineFnWithArgumentsForwardsThemOnBothPaths) {
+  // The raft failure continuation shape: void(bool timed_out).
+  int got = -1;
+  InlineFn<void(bool), 64> small([&got](bool timed_out) {
+    got = timed_out ? 1 : 0;
+  });
+  small(true);
+  EXPECT_EQ(got, 1);
+  InlineFn<void(bool), 64> big(
+      [&got, pad = std::array<char, 128>()](bool timed_out) {
+        (void)pad;
+        got = timed_out ? 3 : 2;
+      });
+  InlineFn<void(bool), 64> moved(std::move(big));
+  moved(false);
+  EXPECT_EQ(got, 2);
 }
 
 TEST(EventFnTest, RunsInlineAndHeapClosuresAndDestroysCaptures) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "store/kv_store.h"
 #include "store/lock_table.h"
 #include "store/prepared_set.h"
@@ -130,6 +132,43 @@ TEST(PreparedSetTest, ConflictingListsAllAndDeduplicates) {
   ASSERT_EQ(c.size(), 2u);
   EXPECT_EQ(c[0], 1u);
   EXPECT_EQ(c[1], 2u);
+}
+
+TEST(PreparedSetTest, RepeatedKeyInFootprintLeavesNoResidue) {
+  PreparedSet p;
+  p.Add(5, /*reads=*/{10, 10, 12}, /*writes=*/{11, 11});
+  p.Add(3, {}, {10});
+  // Each transaction is listed once however often its footprint names the
+  // key; the result stays sorted.
+  EXPECT_EQ(p.Conflicting({11}, {10}), (std::vector<TxnId>{3, 5}));
+  p.Remove(5);
+  // Only txn 3's write on key 10 is left: no residue on 11 or 12, and key
+  // 10 no longer lists txn 5 as a reader.
+  EXPECT_FALSE(p.HasConflict({11, 12}, {11, 12}));
+  EXPECT_EQ(p.Conflicting({10}, {10, 11, 12}), (std::vector<TxnId>{3}));
+  p.Remove(3);
+  EXPECT_FALSE(p.HasConflict({}, {10, 11, 12}));
+  EXPECT_EQ(p.size(), 0u);
+}
+
+TEST(PreparedSetTest, KeyBothReadAndWrittenByOneTxn) {
+  PreparedSet p;
+  p.Add(7, /*reads=*/{20}, /*writes=*/{20});
+  p.Add(4, {20}, {});
+  p.Add(9, {}, {21, 20});
+  EXPECT_TRUE(p.HasConflict({20}, {}));
+  // Txn 7 appears as both reader and writer of key 20: listed once.
+  EXPECT_EQ(p.Conflicting({21}, {20}), (std::vector<TxnId>{4, 7, 9}));
+  p.Remove(7);
+  EXPECT_EQ(p.Conflicting({}, {20}), (std::vector<TxnId>{4, 9}));
+  p.Remove(9);
+  // Txn 4's read is all that remains: reads pass, writes conflict.
+  EXPECT_FALSE(p.HasConflict({20, 21}, {21}));
+  EXPECT_TRUE(p.HasConflict({}, {20}));
+  p.Remove(4);
+  EXPECT_FALSE(p.HasConflict({}, {20, 21}));
+  EXPECT_TRUE(p.Conflicting({20, 21}, {20, 21}).empty());
+  EXPECT_EQ(p.size(), 0u);
 }
 
 TEST(PreparedSetTest, RemoveUnknownIsNoop) {
