@@ -7,30 +7,6 @@
 
 namespace natto::carousel {
 
-namespace {
-
-/// Keys of `keys` living on `partition`.
-std::vector<Key> LocalKeys(const std::vector<Key>& keys, int partition,
-                           const txn::Topology& topology) {
-  std::vector<Key> out;
-  for (Key k : keys) {
-    if (topology.PartitionOfKey(k) == partition) out.push_back(k);
-  }
-  return out;
-}
-
-std::vector<std::pair<Key, Value>> LocalWrites(
-    const std::vector<std::pair<Key, Value>>& writes, int partition,
-    const txn::Topology& topology) {
-  std::vector<std::pair<Key, Value>> out;
-  for (const auto& [k, v] : writes) {
-    if (topology.PartitionOfKey(k) == partition) out.emplace_back(k, v);
-  }
-  return out;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // CarouselServer (basic-path partition leader)
 // ---------------------------------------------------------------------------
@@ -52,8 +28,8 @@ CarouselServer::CarouselServer(CarouselEngine* engine, int partition, int site,
 
 void CarouselServer::HandleReadPrepare(const WireTxn& txn) {
   const txn::Topology& topo = engine_->cluster()->topology();
-  std::vector<Key> reads = LocalKeys(txn.read_set, partition_, topo);
-  std::vector<Key> writes = LocalKeys(txn.write_set, partition_, topo);
+  std::vector<Key> reads = topo.LocalKeys(txn.read_set, partition_);
+  std::vector<Key> writes = topo.LocalKeys(txn.write_set, partition_);
 
   TxnId id = txn.id;
   net::NodeId coord = txn.coordinator;
@@ -176,8 +152,8 @@ CarouselFastReplica::CarouselFastReplica(CarouselEngine* engine, int partition,
 
 void CarouselFastReplica::HandleReadPrepare(const WireTxn& txn) {
   const txn::Topology& topo = engine_->cluster()->topology();
-  std::vector<Key> reads = LocalKeys(txn.read_set, partition_, topo);
-  std::vector<Key> writes = LocalKeys(txn.write_set, partition_, topo);
+  std::vector<Key> reads = topo.LocalKeys(txn.read_set, partition_);
+  std::vector<Key> writes = topo.LocalKeys(txn.write_set, partition_);
 
   TxnId id = txn.id;
   auto* co = engine_->coordinator_by_node(txn.coordinator);
@@ -381,8 +357,8 @@ void CarouselCoordinator::MaybeStartSlowPath(TxnId id, int partition) {
     tr->SpanBegin(id, "slow_path", partition, TrueNow());
   }
   const txn::Topology& topo = engine_->cluster()->topology();
-  std::vector<Key> read_keys = LocalKeys(st.txn.read_set, partition, topo);
-  std::vector<Key> write_keys = LocalKeys(st.txn.write_set, partition, topo);
+  std::vector<Key> read_keys = topo.LocalKeys(st.txn.read_set, partition);
+  std::vector<Key> write_keys = topo.LocalKeys(st.txn.write_set, partition);
   std::vector<std::pair<Key, uint64_t>> versions;
   for (const auto& [k, v] : st.read_versions) {
     if (topo.PartitionOfKey(k) == partition) versions.emplace_back(k, v);
@@ -528,7 +504,7 @@ void CarouselCoordinator::Decide(TxnId id, bool commit,
       for (int r = 0; r < topo.num_replicas(); ++r) {
         auto* rep = engine_->fast_replica(p, r);
         if (commit) {
-          auto writes = LocalWrites(st.writes, p, topo);
+          auto writes = topo.LocalWrites(st.writes, p);
           SendTo(rep->id(), WireKvBytes(writes.size()),
                  [rep, id, writes]() { rep->HandleCommit(id, writes); });
         } else {
@@ -539,7 +515,7 @@ void CarouselCoordinator::Decide(TxnId id, bool commit,
     } else {
       auto* srv = engine_->server(p);
       if (commit) {
-        auto writes = LocalWrites(st.writes, p, topo);
+        auto writes = topo.LocalWrites(st.writes, p);
         SendTo(srv->id(), WireKvBytes(writes.size()),
                [srv, id, writes]() { srv->HandleCommit(id, writes); });
       } else {
@@ -654,7 +630,8 @@ void CarouselGateway::MaybeFinishRound1(TxnId id) {
   for (const txn::ReadResult& r : ordered) {
     versions.emplace_back(r.key, r.version);
   }
-  SendTo(coord->id(), WireKvBytes(d.writes.size()) + versions.size() * 8,
+  // Writes charged as zero bytes, as the goldens pin (see Natto's round 2).
+  SendTo(coord->id(), WireKvBytes(0) + versions.size() * 8,
          [coord, id, writes = std::move(d.writes), versions]() {
            coord->HandleCommitRequest(id, writes, versions,
                                       /*user_abort=*/false);

@@ -9,15 +9,6 @@ namespace natto::core {
 
 namespace {
 
-std::vector<Key> LocalKeys(const std::vector<Key>& keys, int partition,
-                           const txn::Topology& topology) {
-  std::vector<Key> out;
-  for (Key k : keys) {
-    if (topology.PartitionOfKey(k) == partition) out.push_back(k);
-  }
-  return out;
-}
-
 bool Overlaps(const std::vector<Key>& a, const std::vector<Key>& b) {
   for (Key x : a) {
     for (Key y : b) {
@@ -115,8 +106,8 @@ bool NattoServer::ConflictsLocal(const TxnState& a, const TxnState& b) const {
 void NattoServer::HandleReadPrepare(NattoWireTxn txn) {
   const txn::Topology& topo = engine_->cluster()->topology();
   TxnState st;
-  st.local_reads = LocalKeys(txn.read_set, partition_, topo);
-  st.local_writes = LocalKeys(txn.write_set, partition_, topo);
+  st.local_reads = topo.LocalKeys(txn.read_set, partition_);
+  st.local_writes = topo.LocalKeys(txn.write_set, partition_);
   st.txn = std::move(txn);
 
   if (finished_.contains(st.txn.id)) {
@@ -598,10 +589,10 @@ bool NattoServer::EstimatePriorityAbortElsewhere(const TxnState& high,
   for (const auto& [p, high_arrival] : high.txn.est_arrivals) {
     if (p == partition_) continue;
     // Do both transactions touch partition p with a real conflict there?
-    std::vector<Key> hr = LocalKeys(high.txn.read_set, p, topo);
-    std::vector<Key> hw = LocalKeys(high.txn.write_set, p, topo);
-    std::vector<Key> lr = LocalKeys(low.txn.read_set, p, topo);
-    std::vector<Key> lw = LocalKeys(low.txn.write_set, p, topo);
+    std::vector<Key> hr = topo.LocalKeys(high.txn.read_set, p);
+    std::vector<Key> hw = topo.LocalKeys(high.txn.write_set, p);
+    std::vector<Key> lr = topo.LocalKeys(low.txn.read_set, p);
+    std::vector<Key> lw = topo.LocalKeys(low.txn.write_set, p);
     bool conflict = Overlaps(hw, lw) || Overlaps(hw, lr) || Overlaps(hr, lw);
     if (!conflict) continue;
     // The other server priority-aborts `low` if `high` arrives while `low`
@@ -858,10 +849,7 @@ void NattoCoordinator::Decide(TxnId id, bool commit, const std::string& reason,
   for (int p : st.participants) {
     auto* srv = engine_->server(p);
     if (commit) {
-      std::vector<std::pair<Key, Value>> local;
-      for (const auto& [k, v] : st.writes) {
-        if (topo.PartitionOfKey(k) == p) local.emplace_back(k, v);
-      }
+      auto local = topo.LocalWrites(st.writes, p);
       size_t bytes = WireKvBytes(local.size());
       SendTo(srv->id(), bytes, [srv, id, local = std::move(local)]() mutable {
         srv->HandleCommit(id, std::move(local));

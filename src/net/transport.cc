@@ -346,7 +346,8 @@ void Transport::EnqueueBatched(int sa, int sb, Envelope* env,
   LinkBatch& batch =
       link_batches_[static_cast<size_t>(sa) * matrix_->num_sites() + sb];
   env->next = nullptr;
-  if (batch.tail == nullptr) {
+  const bool opens = batch.tail == nullptr;
+  if (opens) {
     batch.head = env;
   } else {
     batch.tail->next = env;
@@ -356,21 +357,20 @@ void Transport::EnqueueBatched(int sa, int sb, Envelope* env,
   ++batch.count;
 
   if (batch.framed_bytes >= options_.max_batch_bytes) {
-    // Byte trigger: emit immediately (FlushLink cancels the delay timer).
+    // Byte trigger: emit immediately (the flush retires any armed timer).
     FlushLink(sa, sb);
     return;
   }
-  if (!batch.timer_armed) {
-    batch.timer_armed = true;
-    // The timer clears its own armed flag before flushing so FlushLink only
-    // ever cancels genuinely pending timers (cancelling an already-executed
-    // event would leave a permanent tombstone in the kernel).
-    batch.timer_id = simulator_->ScheduleAfter(
-        options_.max_batch_delay, [this, sa, sb]() {
+  if (opens) {
+    // Max-delay timer for the batch this message opened. Any earlier flush
+    // bumps the epoch, and the superseded timer then does nothing (the
+    // same idiom as raft's election timer).
+    simulator_->ScheduleAfter(
+        options_.max_batch_delay, [this, sa, sb, epoch = batch.epoch]() {
           LinkBatch& b = link_batches_[static_cast<size_t>(sa) *
                                            matrix_->num_sites() +
                                        sb];
-          b.timer_armed = false;
+          if (epoch != b.epoch) return;  // superseded
           FlushLink(sa, sb);
         });
   }
@@ -380,16 +380,9 @@ void Transport::FlushLink(int from_site, int to_site) {
   LinkBatch& batch = link_batches_[static_cast<size_t>(from_site) *
                                        matrix_->num_sites() +
                                    to_site];
-  if (batch.timer_armed) {
-    // A byte-trigger, explicit, or fault-driven flush beat the max-delay
-    // timer: cancel it so it never fires for this emptied batch (the timer
-    // path clears timer_armed before calling in, so the id here is always
-    // still pending and its tombstone is reclaimed by the kernel).
-    simulator_->Cancel(batch.timer_id);
-    batch.timer_armed = false;
-  }
   Envelope* head = batch.head;
   if (head == nullptr) return;
+  ++batch.epoch;  // retires the max-delay timer this batch armed, if any
   const size_t total_bytes = batch.framed_bytes;
   const uint64_t count = batch.count;
   batch.head = nullptr;

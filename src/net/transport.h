@@ -290,15 +290,15 @@ class Transport {
 
   /// One open batch per directed site pair (allocated only when batching is
   /// on). Messages chain FIFO through Envelope::next; the delay timer is
-  /// armed when the first message opens the batch and cancelled when a
-  /// byte-trigger or explicit flush empties it first.
+  /// armed when the first message opens the batch and captures `epoch`.
+  /// Every flush bumps the epoch, so a timer whose batch a byte-trigger,
+  /// explicit or fault flush already emitted fires as a no-op.
   struct LinkBatch {
     Envelope* head = nullptr;
     Envelope* tail = nullptr;
     size_t framed_bytes = 0;
     uint64_t count = 0;
-    bool timer_armed = false;
-    sim::Simulator::EventId timer_id = 0;
+    uint64_t epoch = 0;
   };
 
   /// Envelope pool: chunked storage plus an intrusive free list. An

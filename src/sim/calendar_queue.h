@@ -94,13 +94,6 @@ class CalendarQueue {
     // Older (smaller-seq) events for this or an earlier bucket may still
     // sit in the overflow heap; move them in first so bucket lists stay
     // seq-ordered per timestamp.
-    //
-    // Cancellation audit: a cancelled event may cross the horizon here (or
-    // in the pop-side pull-in above) after its tombstone was laid. That is
-    // safe because tombstones live in the *simulator* keyed by seq, not in
-    // this structure: migration moves the node with its seq intact, and the
-    // discard happens wherever the node eventually pops.
-    // sim_kernel_test.cc (CancelSurvivesOverflowMigration) pins this.
     while (!overflow_.empty() && (overflow_[0]->time >> kBucketShift) <= b) {
       RingAppend(OverflowPop());
     }

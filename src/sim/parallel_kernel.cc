@@ -4,7 +4,6 @@
 #include <ctime>
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -16,11 +15,12 @@ namespace natto::sim {
 
 namespace {
 
-/// Worker-issued provisional EventIds: high bit set (so they compare larger
+/// Worker-issued provisional seqs: high bit set (so they compare larger
 /// than every canonical seq a window can contain, matching serial seq
-/// monotonicity), originating site in bits 48..62, a persistent per-site
-/// counter below. The counter is never reset: a provisional id stays a
-/// unique key for the lifetime of the run (prov2canon_ relies on this).
+/// monotonicity), originating site in bits 48..62, a per-site counter
+/// below. The counter restarts every window: a provisional seq lives only
+/// on nodes that fire inside the window that issued it, and the merge
+/// resolves it through that window's dense `canon` vector.
 constexpr uint64_t kProvBit = uint64_t{1} << 63;
 constexpr int kProvSiteShift = 48;
 constexpr uint64_t kProvCounterMask = (uint64_t{1} << kProvSiteShift) - 1;
@@ -41,16 +41,15 @@ double ThreadCpuSeconds() {
          1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
-/// One schedule/cancel/side-effect made by a worker-lane callback, replayed
-/// serially at the barrier to assign canonical seqs, update shared
-/// tombstones, and apply DeferOrdered closures in canonical order.
+/// One schedule or side effect made by a worker-lane callback, replayed
+/// serially at the barrier to assign canonical seqs and apply DeferOrdered
+/// closures in canonical order.
 struct WorkerOp {
-  enum Kind : uint8_t { kSchedule, kCancel, kSideEffect };
+  enum Kind : uint8_t { kSchedule, kSideEffect };
   Kind kind;
   /// kSchedule only: event was pushed live into the owning site's queue
   /// (same site, fires inside the window) rather than deferred.
   bool live;
-  uint64_t id;  // kSchedule: provisional id; kCancel: tombstone key
   int dst_site;
   SimTime time;
   /// kSchedule (deferred) and kSideEffect: index into
@@ -58,13 +57,12 @@ struct WorkerOp {
   uint32_t deferred_index;
 };
 
-/// One event processed by a worker, in site-local (== serial restricted to
+/// One event executed by a worker, in site-local (== serial restricted to
 /// the site) order.
 struct ExecRecord {
   SimTime time;
-  uint64_t id;          // canonical seq or this-window provisional id
+  uint64_t id;          // canonical seq or this-window provisional seq
   uint64_t parent;      // as stored on the node
-  bool discarded;       // tombstoned: no callback ran, clock untouched
   uint64_t rng_delta;   // instrumented draws made by this callback
   uint32_t first_op;    // [first_op, first_op + num_ops) in ops
   uint32_t num_ops;
@@ -85,28 +83,19 @@ struct ParallelSiteContext {
   /// serial Now() an event here would observe, since within a window every
   /// cross-site event is at a timestamp this site cannot influence yet.
   SimTime local_now = 0;
-  /// Persistent provisional-id counter (never reset; see kProvBit).
+  /// This window's provisional-seq counter (see kProvBit); reset at the
+  /// barrier.
   uint64_t next_provisional = 0;
-  /// next_provisional at window dispatch; ids at or above it were issued
-  /// this window. Written by the main thread before dispatch, read-only
-  /// during the window (any worker may consult any site's floor).
-  uint64_t prov_floor = 0;
-  /// Provisional id of the event whose callback is running (causal parent).
+  /// Seq of the event whose callback is running (causal parent).
   uint64_t firing_id = Simulator::kNoParent;
   std::vector<ExecRecord> log;
   std::vector<WorkerOp> ops;
   std::vector<EventFn> deferred_fns;
-  /// Window-local tombstone view, layered over the simulator's cancelled_
-  /// set (which is read-only while workers run). true = cancelled and not
-  /// yet consumed; false = consumed by a discard (a re-cancel then mirrors
-  /// the serial stale-tombstone insert).
-  std::unordered_map<uint64_t, bool> overlay;
   /// Merge cursor into `log`.
   size_t cursor = 0;
-  /// Canonical seqs assigned to this window's provisional ids, filled in
-  /// issue order during the merge: canon[counter - prov_floor] = seq.
-  /// Per-site counters are dense, so this replaces a hashmap on the merge
-  /// hot path; prov2canon_ only keeps cross-window (deferred) mappings.
+  /// Canonical seqs assigned to this window's provisional seqs, filled in
+  /// issue order during the merge: canon[counter] = seq. Per-site counters
+  /// are dense, so no hashmap sits on the merge hot path.
   std::vector<uint64_t> canon;
   /// Resolved id of log[cursor]; maintained by MergeWindow so the pick
   /// loop compares heads without re-resolving them every iteration.
@@ -150,12 +139,9 @@ size_t Simulator::ParallelPending() const {
   return n;
 }
 
-Simulator::EventId Simulator::ParallelSchedule(int site, SimTime t,
-                                               Callback&& cb) {
-  return parallel_->Schedule(site, t, std::move(cb));
+void Simulator::ParallelSchedule(int site, SimTime t, Callback&& cb) {
+  parallel_->Schedule(site, t, std::move(cb));
 }
-
-bool Simulator::ParallelCancel(EventId id) { return parallel_->Cancel(id); }
 
 void Simulator::ParallelDefer(Callback&& fn) {
   parallel_->Defer(std::move(fn));
@@ -174,8 +160,7 @@ void Simulator::ParallelRun(SimTime limit, bool settle) {
 ParallelKernel::ParallelKernel(Simulator* sim, const ParallelOptions& options)
     : sim_(sim),
       num_sites_(options.num_sites),
-      lookahead_(options.lookahead),
-      track_cancel_ids_(options.track_cancel_ids) {
+      lookahead_(options.lookahead) {
   NATTO_CHECK(options.num_threads >= 2);
   NATTO_CHECK(num_sites_ >= 1 && num_sites_ < kMaxSites)
       << "the parallel kernel needs at least one site partition, got "
@@ -213,16 +198,12 @@ int ParallelKernel::Lane() const {
   return tls_ctx != nullptr ? 1 + tls_ctx->site : 0;
 }
 
-uint64_t ParallelKernel::Schedule(int site, SimTime t, EventFn&& fn) {
+void ParallelKernel::Schedule(int site, SimTime t, EventFn&& fn) {
   if (tls_ctx != nullptr) {
-    return WorkerSchedule(*tls_ctx, site, t, std::move(fn));
+    WorkerSchedule(*tls_ctx, site, t, std::move(fn));
+  } else {
+    MainSchedule(site, t, std::move(fn));
   }
-  return MainSchedule(site, t, std::move(fn));
-}
-
-bool ParallelKernel::Cancel(uint64_t id) {
-  if (tls_ctx != nullptr) return WorkerCancel(*tls_ctx, id);
-  return MainCancel(id);
 }
 
 void ParallelKernel::Defer(EventFn&& fn) {
@@ -237,11 +218,10 @@ void ParallelKernel::Defer(EventFn&& fn) {
   ParallelSiteContext& ctx = *tls_ctx;
   auto idx = static_cast<uint32_t>(ctx.deferred_fns.size());
   ctx.deferred_fns.push_back(std::move(fn));
-  ctx.ops.push_back(WorkerOp{WorkerOp::kSideEffect, false, 0, 0, 0, idx});
+  ctx.ops.push_back(WorkerOp{WorkerOp::kSideEffect, false, 0, 0, idx});
 }
 
-uint64_t ParallelKernel::MainSchedule(int site, SimTime t,
-                                      EventFn&& fn) {
+void ParallelKernel::MainSchedule(int site, SimTime t, EventFn&& fn) {
   NATTO_DCHECK(!merging_)
       << "DeferOrdered callbacks must not schedule events (the merge replay "
          "is assigning canonical seqs)";
@@ -257,30 +237,10 @@ uint64_t ParallelKernel::MainSchedule(int site, SimTime t,
   } else {
     sim_->queue_.Push(t, seq, std::move(fn), sim_->firing_seq_);
   }
-  return seq;
 }
 
-bool ParallelKernel::MainCancel(uint64_t id) {
-  NATTO_DCHECK(!merging_)
-      << "DeferOrdered callbacks must not cancel events (the merge replay "
-         "owns the tombstone set)";
-  uint64_t key = id;
-  if ((key & kProvBit) != 0 && key != Simulator::kNoParent) {
-    NATTO_DCHECK(track_cancel_ids_)
-        << "cancel of a cross-window event id needs track_cancel_ids";
-    const uint64_t* canon = prov2canon_.find(key);
-    // Unknown provisional id: never issued. (Mappings are kept for the
-    // whole run, so an id whose event already fired still resolves and
-    // lays a stale tombstone, exactly as in serial.)
-    if (canon == nullptr) return false;
-    key = *canon;
-  }
-  if (key >= sim_->next_seq_) return false;
-  return sim_->cancelled_.insert(key);
-}
-
-uint64_t ParallelKernel::WorkerSchedule(ParallelSiteContext& ctx, int site,
-                                        SimTime t, EventFn&& fn) {
+void ParallelKernel::WorkerSchedule(ParallelSiteContext& ctx, int site,
+                                    SimTime t, EventFn&& fn) {
   int dst = site == Simulator::kInheritSite ? ctx.site : site;
   NATTO_DCHECK(dst >= 0 && dst < num_sites_)
       << "worker-lane callbacks cannot schedule onto the global queue";
@@ -296,54 +256,15 @@ uint64_t ParallelKernel::WorkerSchedule(ParallelSiteContext& ctx, int site,
     // seq keeps the queue's per-timestamp order serial-consistent — every
     // in-window schedule outranks every pre-window seq, as in serial.
     ctx.queue.Push(t, id, std::move(fn), ctx.firing_id);
-    ctx.ops.push_back(WorkerOp{WorkerOp::kSchedule, true, id, dst, t, 0});
+    ctx.ops.push_back(WorkerOp{WorkerOp::kSchedule, true, dst, t, 0});
   } else {
     NATTO_DCHECK(dst == ctx.site || t >= window_end_)
         << "cross-site schedule inside the lookahead window: t=" << t
         << " window_end=" << window_end_;
     auto idx = static_cast<uint32_t>(ctx.deferred_fns.size());
     ctx.deferred_fns.push_back(std::move(fn));
-    ctx.ops.push_back(WorkerOp{WorkerOp::kSchedule, false, id, dst, t, idx});
+    ctx.ops.push_back(WorkerOp{WorkerOp::kSchedule, false, dst, t, idx});
   }
-  return id;
-}
-
-bool ParallelKernel::WorkerCancel(ParallelSiteContext& ctx, uint64_t id) {
-  uint64_t key = id;
-  if ((key & kProvBit) != 0 && key != Simulator::kNoParent) {
-    int psite = ProvSite(key);
-    if (psite >= num_sites_) return false;
-    if ((key & kProvCounterMask) <
-        sites_[static_cast<size_t>(psite)]->prov_floor) {
-      // Issued by an earlier window: resolvable iff still mapped
-      // (prov2canon_ is read-only while workers run).
-      NATTO_DCHECK(track_cancel_ids_)
-          << "cancel of a cross-window event id needs track_cancel_ids";
-      const uint64_t* canon = prov2canon_.find(key);
-      if (canon == nullptr) return false;
-      key = *canon;
-    }
-    // Else: issued this window; the live node / deferred op carries the
-    // provisional id itself, so it is the tombstone key.
-  }
-  auto it = ctx.overlay.find(key);
-  if (it != ctx.overlay.end()) {
-    if (it->second) return false;  // already cancelled this window
-    // Consumed tombstone: serial Cancel after the discard re-inserts (a
-    // stale tombstone) and reports success. Mirror it.
-    it->second = true;
-    ctx.ops.push_back(WorkerOp{WorkerOp::kCancel, false, key, 0, 0, 0});
-    return true;
-  }
-  if ((key & kProvBit) == 0) {
-    if (key >= sim_->next_seq_) return false;
-    if (sim_->cancelled_.contains(key)) {
-      return false;  // pre-window tombstone still pending
-    }
-  }
-  ctx.overlay.emplace(key, true);
-  ctx.ops.push_back(WorkerOp{WorkerOp::kCancel, false, key, 0, 0, 0});
-  return true;
 }
 
 void ParallelKernel::RunUntilTime(SimTime limit, bool settle) {
@@ -396,12 +317,6 @@ void ParallelKernel::SerializedFire(int site) {
                          : sites_[static_cast<size_t>(site)]->queue;
   EventNode* n = q.PopIfAtMost(kSimTimeMax);  // the head we just peeked
   NATTO_DCHECK(n != nullptr);
-  if (!sim_->cancelled_.empty() && sim_->cancelled_.erase(n->seq) > 0) {
-    // Recycle into the origin queue: node chunks are pool-owned, and a
-    // node must never migrate to another pool's free list.
-    q.Recycle(n);
-    return;
-  }
   NATTO_DCHECK(n->time >= sim_->now_);
   sim_->now_ = n->time;
   if (site != Simulator::kGlobalSite) {
@@ -414,16 +329,17 @@ void ParallelKernel::SerializedFire(int site) {
   }
   sim_->firing_seq_ = n->seq;
   main_site_ = site;  // kInheritSite schedules stay on the firing site
-  n->fn();  // in place, as in Simulator::FireOrDiscard
+  n->fn();  // in place, as in Simulator::Fire
   sim_->firing_seq_ = Simulator::kNoParent;
   main_site_ = Simulator::kGlobalSite;
+  // Recycle into the origin queue: node chunks are pool-owned, and a node
+  // must never migrate to another pool's free list.
   q.Recycle(n);
 }
 
 void ParallelKernel::RunWindow(SimTime w_end) {
   window_end_ = w_end;
   draw_base_ = sim_->ledger_ != nullptr ? sim_->ledger_->LiveDrawTotal() : 0;
-  for (auto& ctx : sites_) ctx->prov_floor = ctx->next_provisional;
   next_site_.store(0, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -482,34 +398,12 @@ void ParallelKernel::RunSite(ParallelSiteContext& ctx) {
   tls_ctx = &ctx;
   EventNode* n;
   while ((n = ctx.queue.PopIfAtMost(window_end_ - 1)) != nullptr) {
-    uint64_t id = n->seq;
-    bool discard = false;
-    auto it = ctx.overlay.empty() ? ctx.overlay.end() : ctx.overlay.find(id);
-    if (it != ctx.overlay.end()) {
-      if (it->second) {
-        it->second = false;  // tombstone consumed
-        discard = true;
-      }
-    } else if (!sim_->cancelled_.empty() && sim_->cancelled_.contains(id)) {
-      // Pre-window tombstone. The shared set is read-only during the
-      // window; record the consumption locally (enabling serial re-cancel
-      // semantics) and erase at merge.
-      ctx.overlay.emplace(id, false);
-      discard = true;
-    }
-    if (discard) {
-      ctx.log.push_back(ExecRecord{n->time, id, n->parent_seq, true, 0,
-                                   static_cast<uint32_t>(ctx.ops.size()), 0});
-      ctx.queue.Recycle(n);
-      continue;
-    }
     NATTO_DCHECK(n->time >= ctx.local_now);
     ctx.local_now = n->time;
     ctx.queue.AdvanceTo(ctx.local_now);
-    ExecRecord rec{n->time, id,    n->parent_seq,
-                   false,   0,     static_cast<uint32_t>(ctx.ops.size()),
-                   0};
-    ctx.firing_id = id;
+    ExecRecord rec{n->time, n->seq, n->parent_seq, 0,
+                   static_cast<uint32_t>(ctx.ops.size()), 0};
+    ctx.firing_id = n->seq;
     Rng::SetThreadDrawDelta(&rec.rng_delta);
     n->fn();  // in place; the popped node is on no list until recycled
     Rng::SetThreadDrawDelta(nullptr);
@@ -524,11 +418,13 @@ void ParallelKernel::RunSite(ParallelSiteContext& ctx) {
 
 uint64_t ParallelKernel::ResolveId(uint64_t id) const {
   if ((id & kProvBit) == 0) return id;
-  // Only this-window provisional ids reach the merge: deferred schedules
-  // are pushed with canonical seqs, so nothing provisional survives a
-  // window inside the queues. Dense per-site lookup, no hashing.
+  // Only this-window provisional seqs reach the merge: live schedules fire
+  // inside their window, and deferred schedules are pushed with canonical
+  // seqs, so nothing provisional survives a window inside the queues. The
+  // counter restarts every window, so the counter bits index the
+  // originating site's `canon` directly.
   const ParallelSiteContext& ctx = *sites_[static_cast<size_t>(ProvSite(id))];
-  uint64_t idx = (id & kProvCounterMask) - ctx.prov_floor;
+  uint64_t idx = id & kProvCounterMask;
   NATTO_DCHECK(idx < ctx.canon.size());
   return ctx.canon[static_cast<size_t>(idx)];
 }
@@ -578,19 +474,12 @@ void ParallelKernel::MergeWindow() {
     if (pick == nullptr) break;
     uint64_t pick_id = pick->merge_head_id;
     const ExecRecord& rec = pick->log[pick->cursor++];
-    if (rec.discarded) {
-      size_t erased = sim_->cancelled_.erase(pick_id);
-      NATTO_DCHECK(erased == 1);
-      (void)erased;
-    } else {
-      if (rec.time > max_fired) max_fired = rec.time;
-      ++sim_->executed_;
-      if (ledger != nullptr) {
-        ledger->RecordEventReplay(rec.time, pick_id,
-                                  ResolveParent(rec.parent),
-                                  draw_base_ + draws);
-        draws += rec.rng_delta;
-      }
+    if (rec.time > max_fired) max_fired = rec.time;
+    ++sim_->executed_;
+    if (ledger != nullptr) {
+      ledger->RecordEventReplay(rec.time, pick_id, ResolveParent(rec.parent),
+                                draw_base_ + draws);
+      draws += rec.rng_delta;
     }
     for (uint32_t i = rec.first_op; i < rec.first_op + rec.num_ops; ++i) {
       WorkerOp& op = pick->ops[i];
@@ -598,27 +487,18 @@ void ParallelKernel::MergeWindow() {
         uint64_t seq = sim_->next_seq_++;
         // Per-site counters issue in execution order and the merge visits
         // a site's records in that same order, so a plain push lands the
-        // mapping at canon[counter - prov_floor].
+        // mapping at canon[counter].
         pick->canon.push_back(seq);
-        if (track_cancel_ids_ && !op.live) {
-          // Deferred events outlive the window; keep a hashmap entry so
-          // later Cancels can still resolve the provisional id.
-          prov2canon_[op.id] = seq;
-        }
         if (!op.live) {
           deferred.push_back(
               DeferredPush{op.dst_site, op.time, seq, pick_id,
                            &pick->deferred_fns[op.deferred_index]});
         }
-      } else if (op.kind == WorkerOp::kSideEffect) {
+      } else {
         // DeferOrdered side effect: applied here, at its event's canonical
         // position and in its event's op order — the exact moment the
         // serial kernel would have run it inline.
         pick->deferred_fns[op.deferred_index]();
-      } else {
-        bool inserted = sim_->cancelled_.insert(ResolveId(op.id));
-        NATTO_DCHECK(inserted);
-        (void)inserted;
       }
     }
     if (pick->cursor < pick->log.size()) {
@@ -649,9 +529,9 @@ void ParallelKernel::MergeWindow() {
     ctx->log.clear();
     ctx->ops.clear();
     ctx->deferred_fns.clear();
-    ctx->overlay.clear();
     ctx->cursor = 0;
     ctx->canon.clear();
+    ctx->next_provisional = 0;
   }
 }
 

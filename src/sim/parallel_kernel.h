@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/flat_table.h"
 #include "common/sim_time.h"
 #include "sim/event_fn.h"
 #include "sim/simulator.h"
@@ -62,9 +61,10 @@ struct ParallelPhaseStats {
 ///     t >= Now() + lookahead (automatic for messages riding links whose
 ///     delay bounds the lookahead), and may not schedule onto the global
 ///     queue.
-///   - Cancels from a callback take effect immediately for same-site
-///     targets; a cross-site cancel becomes visible at the next barrier, so
-///     its target must fire at or after the current window's end.
+///   - Events are never cancelled (the simulator has no Cancel): every
+///     scheduled event fires exactly once, so a site's log holds only
+///     executed events and the merge replays schedules and DeferOrdered
+///     side effects, nothing else.
 ///   - Stop() from a worker-lane callback takes effect at the barrier: the
 ///     in-flight window completes (deterministically), then the run loop
 ///     returns. Serial execution would have stopped after the calling
@@ -89,16 +89,13 @@ class ParallelKernel {
   // Simulator delegates (see the matching Simulator methods).
   SimTime NowOnLane() const;
   int Lane() const;
-  uint64_t Schedule(int site, SimTime t, EventFn&& fn);
-  bool Cancel(uint64_t id);
+  void Schedule(int site, SimTime t, EventFn&& fn);
   void Defer(EventFn&& fn);
   void RunUntilTime(SimTime limit, bool settle);
 
-  uint64_t MainSchedule(int site, SimTime t, EventFn&& fn);
-  bool MainCancel(uint64_t id);
-  uint64_t WorkerSchedule(ParallelSiteContext& ctx, int site, SimTime t,
-                          EventFn&& fn);
-  bool WorkerCancel(ParallelSiteContext& ctx, uint64_t id);
+  void MainSchedule(int site, SimTime t, EventFn&& fn);
+  void WorkerSchedule(ParallelSiteContext& ctx, int site, SimTime t,
+                      EventFn&& fn);
 
   void SerializedFire(int site);
   void RunWindow(SimTime w_end);
@@ -113,16 +110,15 @@ class ParallelKernel {
   Simulator* const sim_;
   const int num_sites_;
   const SimDuration lookahead_;
-  const bool track_cancel_ids_;
   std::vector<std::unique_ptr<ParallelSiteContext>> sites_;
 
   /// Site a main-thread kInheritSite schedule routes to: the owning site
   /// during a serialized site fire, kGlobalSite otherwise.
   int main_site_ = Simulator::kGlobalSite;
   /// True while MergeWindow replays worker ops and deferred side effects.
-  /// DeferOrdered closures must not schedule or cancel; the replay loop
-  /// assigns canonical seqs, and an interleaved allocation would diverge
-  /// from serial numbering (NATTO_DCHECKed in MainSchedule/MainCancel).
+  /// DeferOrdered closures must not schedule; the replay loop assigns
+  /// canonical seqs, and an interleaved allocation would diverge from
+  /// serial numbering (NATTO_DCHECKed in MainSchedule).
   bool merging_ = false;
   /// Exclusive upper bound of the in-flight window; stable while workers
   /// run (written by the main thread before the dispatch mutex handoff).
@@ -133,12 +129,6 @@ class ParallelKernel {
   /// workers except to test for null (per-site timings land in the site
   /// contexts and are folded by the main thread at the barrier).
   ParallelPhaseStats* phase_stats_ = nullptr;
-  /// Cross-window provisional EventIds -> canonical seqs: only events
-  /// scheduled by one window and still pending after it, and only while
-  /// `track_cancel_ids` (so later Cancels resolve), which grows one entry
-  /// per such schedule over the run. This-window ids resolve through the
-  /// dense per-site `canon` vectors instead (see ParallelSiteContext).
-  FlatMap<uint64_t> prov2canon_;
 
   // Worker pool. Dispatch is epoch-based: the main thread bumps epoch_
   // under mu_ and workers race through next_site_ claiming sites; the

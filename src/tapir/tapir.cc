@@ -7,19 +7,6 @@
 
 namespace natto::tapir {
 
-namespace {
-
-std::vector<Key> LocalKeys(const std::vector<Key>& keys, int partition,
-                           const txn::Topology& topology) {
-  std::vector<Key> out;
-  for (Key k : keys) {
-    if (topology.PartitionOfKey(k) == partition) out.push_back(k);
-  }
-  return out;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // TapirReplica
 // ---------------------------------------------------------------------------
@@ -161,7 +148,7 @@ void TapirGateway::StartTxn(const txn::TxnRequest& request,
     return;
   }
   for (int p : read_partitions) {
-    std::vector<Key> keys = LocalKeys(request.read_set, p, topo);
+    std::vector<Key> keys = topo.LocalKeys(request.read_set, p);
     int r = engine_->NearestReplica(p, site());
     auto* rep = engine_->replica(p, r);
     SendTo(rep->id(), WireKeysBytes(keys.size()),
@@ -218,10 +205,10 @@ void TapirGateway::StartPrepareRound(TxnId id) {
     st.partitions[p] = PartitionState{};
     // Per-partition footprint for validation.
     std::vector<std::pair<Key, uint64_t>> read_versions;
-    for (Key k : LocalKeys(st.request.read_set, p, topo)) {
+    for (Key k : topo.LocalKeys(st.request.read_set, p)) {
       read_versions.emplace_back(k, st.reads[k].version);
     }
-    std::vector<Key> write_keys = LocalKeys(st.request.write_set, p, topo);
+    std::vector<Key> write_keys = topo.LocalKeys(st.request.write_set, p);
     size_t bytes = WireKeysBytes(read_versions.size() + write_keys.size());
     if (obs::Tracer* tr = engine_->cluster()->tracer()) {
       tr->SpanBegin(id, "prepare", p, TrueNow());
@@ -285,11 +272,11 @@ void TapirGateway::OnPartitionUpdate(TxnId id, int partition) {
         tr->SpanBegin(id, "slow_path", partition, TrueNow());
       }
       std::vector<std::pair<Key, uint64_t>> read_versions;
-      for (Key k : LocalKeys(st.request.read_set, partition, topo)) {
+      for (Key k : topo.LocalKeys(st.request.read_set, partition)) {
         read_versions.emplace_back(k, st.reads[k].version);
       }
       std::vector<Key> write_keys =
-          LocalKeys(st.request.write_set, partition, topo);
+          topo.LocalKeys(st.request.write_set, partition);
       size_t bytes = WireKeysBytes(read_versions.size() + write_keys.size());
       for (int r = 0; r < n; ++r) {
         auto* rep = engine_->replica(partition, r);
@@ -362,10 +349,7 @@ void TapirGateway::Decide(TxnId id, bool commit, const std::string& reason,
     for (int r = 0; r < topo.num_replicas(); ++r) {
       auto* rep = engine_->replica(p, r);
       if (commit) {
-        std::vector<std::pair<Key, Value>> writes;
-        for (const auto& [k, v] : st.writes) {
-          if (topo.PartitionOfKey(k) == p) writes.emplace_back(k, v);
-        }
+        auto writes = topo.LocalWrites(st.writes, p);
         SendTo(rep->id(), WireKvBytes(writes.size()),
                [rep, id, writes]() { rep->HandleCommit(id, writes); });
       } else {

@@ -32,12 +32,8 @@ Cluster::Cluster(net::LatencyMatrix matrix, Topology topology,
     // Site-parallel windows, byte-identical to serial at any thread count;
     // ineligible configs keep the plain serial kernel. Must precede any
     // scheduling — this is the first simulator touch in construction.
-    // Cancel-id tracking stays off: the engine stack's only Cancel is the
-    // link batcher's flush timer, and eligibility requires batching off, so
-    // the per-deferred-event mapping would only cost serial merge time.
     simulator_.ConfigureParallel(sim::ParallelOptions{
-        options_.sim_threads, topology_.num_sites(), ConservativeLookahead(),
-        /*track_cancel_ids=*/false});
+        options_.sim_threads, topology_.num_sites(), ConservativeLookahead()});
     simulator_.SetParallelPhaseStats(options_.parallel_phase_stats);
   }
   if (options_.dsan.enabled) {

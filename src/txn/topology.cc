@@ -47,6 +47,24 @@ std::vector<int> Topology::Participants(const std::vector<Key>& reads,
   return out;
 }
 
+std::vector<Key> Topology::LocalKeys(const std::vector<Key>& keys,
+                                     int partition) const {
+  std::vector<Key> out;
+  for (Key k : keys) {
+    if (PartitionOfKey(k) == partition) out.push_back(k);
+  }
+  return out;
+}
+
+std::vector<std::pair<Key, Value>> Topology::LocalWrites(
+    const std::vector<std::pair<Key, Value>>& writes, int partition) const {
+  std::vector<std::pair<Key, Value>> out;
+  for (const auto& [k, v] : writes) {
+    if (PartitionOfKey(k) == partition) out.emplace_back(k, v);
+  }
+  return out;
+}
+
 int Topology::PartitionLedAt(int site) const {
   for (int p = 0; p < num_partitions(); ++p) {
     if (LeaderSite(p) == site) return p;

@@ -1,6 +1,7 @@
 #ifndef NATTO_TXN_TOPOLOGY_H_
 #define NATTO_TXN_TOPOLOGY_H_
 
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -38,6 +39,14 @@ class Topology {
   /// deduplicated.
   std::vector<int> Participants(const std::vector<Key>& reads,
                                 const std::vector<Key>& writes) const;
+
+  /// The keys of `keys` that live on `partition`, in input order.
+  std::vector<Key> LocalKeys(const std::vector<Key>& keys,
+                             int partition) const;
+
+  /// The writes whose key lives on `partition`, in input order.
+  std::vector<std::pair<Key, Value>> LocalWrites(
+      const std::vector<std::pair<Key, Value>>& writes, int partition) const;
 
   /// Partition whose leader lives at `site`, or -1. Used to place each
   /// client's coordinator on its local replica group (Carousel colocates

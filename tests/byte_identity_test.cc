@@ -306,6 +306,9 @@ TEST(ByteIdentityTest, BatchingOnSerialVsParallelIsByteIdentical) {
   EXPECT_EQ(serial, parallel)
       << "batching broke job-count determinism";
   EXPECT_NE(serial.find("Natto"), std::string::npos);
+  // Pins the batched bytes themselves: a superseded link-batch timer must
+  // stay a no-op and never emit a later batch early.
+  CompareOrWriteGolden("fig7_ycsbt_batched_tiny.golden", serial);
 }
 
 TEST(ByteIdentityTest, DsanDigestsMatchSerialVsParallelOnFig7Tiny) {

@@ -153,8 +153,8 @@ TEST(TransportTest, LaneShardsKeepTheAccountingInvariantSiteParallel) {
   // windows and after the drain.
   sim::Simulator simulator;
   LatencyMatrix matrix = LatencyMatrix::AzureFive();
-  simulator.ConfigureParallel(sim::ParallelOptions{
-      3, matrix.num_sites(), Millis(20), /*track_cancel_ids=*/true});
+  simulator.ConfigureParallel(
+      sim::ParallelOptions{3, matrix.num_sites(), Millis(20)});
   ASSERT_TRUE(simulator.site_parallel());
   Transport transport{&simulator, &matrix, MakeConstantDelay(),
                       TransportOptions{}, 1};
@@ -320,23 +320,30 @@ TEST(TransportBatchingTest, DelayTimerCoalescesIntoOneFrame) {
   ExpectAccountingInvariant(f.transport);
 }
 
-TEST(TransportBatchingTest, ByteTriggerFlushesAndCancelsTimer) {
+TEST(TransportBatchingTest, ByteTriggerFlushRetiresTheStaleTimer) {
   BatchingFixture f(/*max_bytes=*/200);
   NodeId a = f.transport.AddNode(0);
   NodeId b = f.transport.AddNode(1);
   std::vector<SimTime> deliveries;
+  // The first message opens a batch and arms its 1 ms timer; the second
+  // brings it to 216 framed bytes >= 200 and flushes it at t=0.
   f.transport.Send(a, b, 100, [&]() { deliveries.push_back(f.simulator.Now()); });
   f.transport.Send(a, b, 100, [&]() { deliveries.push_back(f.simulator.Now()); });
+  // A second batch opens at 0.5 ms, before the first batch's now-stale
+  // timer comes due at 1 ms. Only its own timer, at 0.5 + 1 ms, may emit
+  // it: a stale timer that flushed it would send it 0.5 ms early.
+  f.simulator.ScheduleAt(Micros(500), [&]() {
+    f.transport.Send(a, b, 100,
+                     [&]() { deliveries.push_back(f.simulator.Now()); });
+  });
   f.simulator.Run();
-  ASSERT_EQ(deliveries.size(), 2u);
-  // 216 framed bytes >= 200 flushed the batch at t=0: delivery at plain
-  // one-way delay, without the 1 ms batching latency.
+  ASSERT_EQ(deliveries.size(), 3u);
+  // The byte-triggered frame arrives at plain one-way delay, without the
+  // 1 ms batching latency.
   EXPECT_EQ(deliveries[0], Micros(33500));
   EXPECT_EQ(deliveries[1], Micros(33500));
-  EXPECT_EQ(f.transport.batches_sent(), 1u);
-  // The byte trigger cancelled the max-delay timer: only the two delivery
-  // events ever executed (a live timer would have run a third event).
-  EXPECT_EQ(f.simulator.executed_events(), 2u);
+  EXPECT_EQ(deliveries[2], Micros(500) + Millis(1) + Micros(33500));
+  EXPECT_EQ(f.transport.batches_sent(), 2u);
   ExpectAccountingInvariant(f.transport);
 }
 

@@ -2,19 +2,17 @@
 // DESIGN.md §4.11).
 //
 // The driver below runs one site-structured workload — per-site event
-// chains, same-site and cross-site schedules, in-window cancels — on a
-// plain serial Simulator and on Simulators configured with 2 and 4 kernel
-// threads, and requires identical per-site execution traces, identical
-// cancel results, and a byte-identical dsan trail (the trail's digest folds
-// the *merged* (time, seq, parent) stream, so trail equality proves the
-// parallel kernel reproduces the exact serial total order, not just
-// per-site orders). The workload respects the kernel's determinism
-// contract: cross-site schedules land at Now() + lookahead or later, and
-// worker-side cancels only target the canceller's own site.
+// chains, same-site live and deferred schedules, cross-site schedules — on
+// a plain serial Simulator and on Simulators configured with 2 and 4 kernel
+// threads, and requires identical per-site execution traces and a
+// byte-identical dsan trail (the trail's digest folds the *merged* (time,
+// seq, parent) stream, so trail equality proves the parallel kernel
+// reproduces the exact serial total order, not just per-site orders). The
+// workload respects the kernel's determinism contract: cross-site
+// schedules land at Now() + lookahead or later.
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,7 +34,6 @@ struct SiteResult {
   // Per-site (fire time, marker) traces; worker-side appends are safe
   // because one worker owns a site for a whole window.
   std::vector<std::vector<std::pair<SimTime, uint64_t>>> traces;
-  std::vector<std::vector<bool>> cancel_results;
   SimTime final_now = 0;
   uint64_t executed = 0;
   size_t pending = 0;
@@ -58,8 +55,7 @@ class SiteWorkload {
     DeterminismLedger ledger(dopts);
     if (threads_ > 1) {
       // Must precede any scheduling (the kernel owns event routing).
-      sim.ConfigureParallel(
-          ParallelOptions{threads_, kSites, kLookahead, true});
+      sim.ConfigureParallel(ParallelOptions{threads_, kSites, kLookahead});
     }
     sim.set_ledger(&ledger);
 
@@ -75,20 +71,16 @@ class SiteWorkload {
       }
     }
     sim.RunUntil(Millis(30));
-    // Mid-run main-thread activity: more chains, plus a cancel of one
-    // still-pending event per site (main-thread cancels are unrestricted).
+    // Mid-run main-thread activity: more chains.
     for (int s = 0; s < kSites; ++s) {
       ScheduleTo(s, sim.Now() + Millis(2) + s * 13);
-      CancelPending(s);
     }
     sim.Run();
 
     SiteResult out;
     out.traces.resize(kSites);
-    out.cancel_results.resize(kSites);
     for (int s = 0; s < kSites; ++s) {
       out.traces[s] = std::move(sites_[s].trace);
-      out.cancel_results[s] = std::move(sites_[s].cancel_results);
     }
     out.final_now = sim.Now();
     out.executed = sim.executed_events();
@@ -101,14 +93,9 @@ class SiteWorkload {
  private:
   struct Site {
     Rng rng{0};
-    int budget = 500;
+    int budget = 600;
     uint64_t next_marker = 0;
     std::vector<std::pair<SimTime, uint64_t>> trace;
-    std::vector<bool> cancel_results;
-    // (id, fire time) of remembered same-site schedules; cancels only
-    // target entries with fire time > Now(), which are provably pending,
-    // so the Cancel return value is identical serial vs parallel.
-    std::vector<std::pair<Simulator::EventId, SimTime>> ids;
   };
 
   // Schedules the next chain event for `dst` at absolute time `t`. Consumes
@@ -121,19 +108,16 @@ class SiteWorkload {
     --a.budget;
     uint64_t marker =
         (static_cast<uint64_t>(acct < 0 ? dst : acct) << 32) | a.next_marker++;
-    Simulator::EventId id = sim_->ScheduleAtSite(
-        dst, t, [this, dst, marker]() { OnFire(dst, marker); });
-    // Only same-site (or main-thread) schedules are remembered for cancel:
-    // a cross-site caller must not touch the destination's vectors.
-    if (acct < 0) sites_[dst].ids.emplace_back(id, t);
+    sim_->ScheduleAtSite(dst, t,
+                         [this, dst, marker]() { OnFire(dst, marker); });
   }
 
   void OnFire(int s, uint64_t marker) {
     Site& st = sites_[s];
     st.trace.emplace_back(sim_->Now(), marker);
-    // 1..3 ops per event keeps the chains slightly supercritical, so runs
+    // 1..2 ops per event keeps the chains slightly supercritical, so runs
     // last until the per-site budgets drain instead of dying out early.
-    int ops = static_cast<int>(st.rng.UniformInt(1, 3));
+    int ops = static_cast<int>(st.rng.UniformInt(1, 2));
     for (int i = 0; i < ops; ++i) {
       int64_t roll = st.rng.UniformInt(0, 99);
       if (roll < 35) {
@@ -148,42 +132,31 @@ class SiteWorkload {
           if (st.budget == 0) continue;
           --st.budget;
           uint64_t m = (static_cast<uint64_t>(s) << 32) | st.next_marker++;
-          SimTime t = sim_->Now() + d;
-          Simulator::EventId id =
-              sim_->ScheduleAfter(d, [this, s, m]() { OnFire(s, m); });
-          st.ids.emplace_back(id, t);
+          sim_->ScheduleAfter(d, [this, s, m]() { OnFire(s, m); });
         }
       } else if (roll < 55) {
         // Cross-site: the lookahead bound makes this legal mid-window.
         int dst = (s + 1) % kSites;
         SimTime t = sim_->Now() + kLookahead + st.rng.UniformInt(0, 4000);
         ScheduleTo(dst, t, /*acct=*/s);
-      } else if (roll < 75) {
-        CancelPending(s);
+      } else if (roll < 70) {
+        // Short same-site delay: always inside the current window, so the
+        // live path (provisional seq, resolved at the merge).
+        ScheduleTo(s, sim_->Now() + 1 + st.rng.UniformInt(0, 2000));
+      } else if (roll < 78) {
+        // Same-site at or past Now() + lookahead: always past the window
+        // end, so the deferred path (canonical seq pushed at the barrier).
+        // The wide spread stretches the run over more windows.
+        ScheduleTo(s,
+                   sim_->Now() + kLookahead + st.rng.UniformInt(0, Millis(30)));
       } else if (roll < 85) {
-        // Schedule-then-cancel inside one callback: the tombstone must win
-        // whether the target was a live in-window insert or a deferral.
-        if (st.budget == 0) continue;
-        --st.budget;
-        uint64_t m = (static_cast<uint64_t>(s) << 32) | st.next_marker++;
-        SimDuration d = 1 + st.rng.UniformInt(0, 2000);
-        Simulator::EventId id = sim_->ScheduleAtSite(
-            s, sim_->Now() + d, [this, s, m]() { OnFire(s, m); });
-        st.cancel_results.push_back(sim_->Cancel(id));
+        // Cross-site two sites over: a second deferred stream per site.
+        int dst = (s + 2) % kSites;
+        SimTime t = sim_->Now() + kLookahead + st.rng.UniformInt(0, 4000);
+        ScheduleTo(dst, t, /*acct=*/s);
       }
       // else: no-op.
     }
-  }
-
-  void CancelPending(int s) {
-    Site& st = sites_[s];
-    if (st.ids.empty()) return;
-    size_t k = static_cast<size_t>(
-        st.rng.UniformInt(0, static_cast<int64_t>(st.ids.size()) - 1));
-    if (st.ids[k].second <= sim_->Now()) return;  // maybe fired: stay exact
-    st.cancel_results.push_back(sim_->Cancel(st.ids[k].first));
-    st.ids[k] = st.ids.back();
-    st.ids.pop_back();
   }
 
   uint64_t seed_;
@@ -201,9 +174,6 @@ TEST(ParallelKernelLockstepTest, MatchesSerialAtAnyThreadCount) {
       for (int s = 0; s < kSites; ++s) {
         EXPECT_EQ(par.traces[s], serial.traces[s])
             << "site " << s << " trace, seed " << seed << ", " << threads
-            << " threads";
-        EXPECT_EQ(par.cancel_results[s], serial.cancel_results[s])
-            << "site " << s << " cancels, seed " << seed << ", " << threads
             << " threads";
       }
       EXPECT_EQ(par.final_now, serial.final_now) << "seed " << seed;
@@ -243,7 +213,7 @@ TEST(ParallelKernelTest, RejectsParallelKernelWithoutSites) {
     EXPECT_DEATH(
         {
           Simulator sim;
-          sim.ConfigureParallel(ParallelOptions{4, sites, Millis(1), true});
+          sim.ConfigureParallel(ParallelOptions{4, sites, Millis(1)});
         },
         "at least one site partition");
   }
@@ -251,7 +221,7 @@ TEST(ParallelKernelTest, RejectsParallelKernelWithoutSites) {
 
 TEST(ParallelKernelTest, CrossSiteScheduleAtLookaheadFiresInOrder) {
   Simulator sim;
-  sim.ConfigureParallel(ParallelOptions{4, 2, kLookahead, true});
+  sim.ConfigureParallel(ParallelOptions{4, 2, kLookahead});
   // One log per site: the 1 ms and 2 ms events share a window and run
   // concurrently on their own lanes, so they must not share a container.
   using Log = std::vector<std::pair<SimTime, int>>;
@@ -269,30 +239,9 @@ TEST(ParallelKernelTest, CrossSiteScheduleAtLookaheadFiresInOrder) {
   EXPECT_EQ(sim.executed_events(), 3u);
 }
 
-TEST(ParallelKernelTest, InWindowScheduleThenCancelNeverFires) {
-  Simulator sim;
-  sim.ConfigureParallel(ParallelOptions{4, 2, kLookahead, true});
-  std::atomic<int> fired{0};  // bumped from concurrent site lanes
-  bool cancel_ok = false;
-  sim.ScheduleAtSite(0, Millis(1), [&]() {
-    // Lands inside the current window on the same site (a live insert into
-    // the site's own queue under a provisional id), then dies by tombstone.
-    Simulator::EventId id =
-        sim.ScheduleAtSite(0, sim.Now() + 5, [&]() { ++fired; });
-    cancel_ok = sim.Cancel(id);
-  });
-  sim.ScheduleAtSite(1, Millis(1), [&]() { ++fired; });
-  sim.Run();
-  EXPECT_TRUE(cancel_ok);
-  EXPECT_EQ(fired.load(), 1);
-  // The cancelled event was discarded without executing or advancing time.
-  EXPECT_EQ(sim.executed_events(), 2u);
-  EXPECT_EQ(sim.Now(), Millis(1));
-}
-
 TEST(ParallelKernelTest, StopFromWorkerTakesEffectAtTheBarrier) {
   Simulator sim;
-  sim.ConfigureParallel(ParallelOptions{4, 4, kLookahead, true});
+  sim.ConfigureParallel(ParallelOptions{4, 4, kLookahead});
   std::atomic<int> fired{0};  // bumped from concurrent site lanes
   // One event per site inside a single window; site 2's callback stops the
   // run. The whole window still completes (its merged outcome must be
@@ -315,7 +264,7 @@ TEST(ParallelKernelTest, StopFromWorkerTakesEffectAtTheBarrier) {
 
 TEST(ParallelKernelTest, RunUntilStopsWindowsAtTheLimit) {
   Simulator sim;
-  sim.ConfigureParallel(ParallelOptions{4, 2, kLookahead, true});
+  sim.ConfigureParallel(ParallelOptions{4, 2, kLookahead});
   std::atomic<int> fired{0};  // bumped from concurrent site lanes
   sim.ScheduleAtSite(0, Millis(3), [&]() { ++fired; });
   sim.ScheduleAtSite(1, Millis(3), [&]() { ++fired; });

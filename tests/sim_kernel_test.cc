@@ -1,11 +1,10 @@
 // Lockstep property tests for the calendar-queue event kernel.
 //
 // ReferenceSimulator below is a test-only replica of the seed kernel — a
-// std::priority_queue<Event> ordered by (time, seq) — with the same
-// tombstone-based Cancel layered on top that the real Simulator grew. The
-// property tests drive both kernels through identical randomized workloads
-// (schedules from inside and outside callbacks, equal-time bursts, cancels,
-// Stop(), RunUntil boundaries, far-future events beyond the calendar
+// std::priority_queue<Event> ordered by (time, seq). The property tests
+// drive both kernels through identical randomized workloads (schedules
+// from inside and outside callbacks, equal-time bursts, Stop(), RunUntil
+// boundaries, far-future events beyond the calendar
 // horizon) and require byte-identical execution traces. This is the
 // refactoring safety net: any divergence in (time, seq) order between the
 // bucketed timeline and the old binary heap fails here long before it would
@@ -18,7 +17,6 @@
 #include <queue>
 #include <string>
 #include <tuple>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -33,31 +31,23 @@ namespace natto::sim {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Reference kernel: the seed's binary heap, plus the new Cancel semantics.
+// Reference kernel: the seed's binary heap.
 // ---------------------------------------------------------------------------
 
 class ReferenceSimulator {
  public:
   using Callback = std::function<void()>;
-  using EventId = uint64_t;
 
   SimTime Now() const { return now_; }
 
-  EventId ScheduleAt(SimTime t, Callback cb) {
+  void ScheduleAt(SimTime t, Callback cb) {
     if (t < now_) t = now_;
-    uint64_t seq = next_seq_++;
-    queue_.push(Event{t, seq, std::move(cb)});
-    return seq;
+    queue_.push(Event{t, next_seq_++, std::move(cb)});
   }
 
-  EventId ScheduleAfter(SimDuration delay, Callback cb) {
+  void ScheduleAfter(SimDuration delay, Callback cb) {
     if (delay < 0) delay = 0;
-    return ScheduleAt(now_ + delay, std::move(cb));
-  }
-
-  bool Cancel(EventId id) {
-    if (id >= next_seq_) return false;
-    return cancelled_.insert(id).second;
+    ScheduleAt(now_ + delay, std::move(cb));
   }
 
   void Run() {
@@ -65,7 +55,7 @@ class ReferenceSimulator {
     while (!queue_.empty() && !stopped_) {
       Event ev = std::move(const_cast<Event&>(queue_.top()));
       queue_.pop();
-      FireOrDiscard(std::move(ev));
+      Fire(std::move(ev));
     }
   }
 
@@ -74,7 +64,7 @@ class ReferenceSimulator {
     while (!queue_.empty() && !stopped_ && queue_.top().time <= t) {
       Event ev = std::move(const_cast<Event&>(queue_.top()));
       queue_.pop();
-      FireOrDiscard(std::move(ev));
+      Fire(std::move(ev));
     }
     if (!stopped_ && now_ < t) now_ = t;
   }
@@ -97,8 +87,7 @@ class ReferenceSimulator {
     }
   };
 
-  void FireOrDiscard(Event ev) {
-    if (!cancelled_.empty() && cancelled_.erase(ev.seq) > 0) return;
+  void Fire(Event ev) {
     now_ = ev.time;
     ++executed_;
     ev.cb();
@@ -109,7 +98,6 @@ class ReferenceSimulator {
   uint64_t executed_ = 0;
   bool stopped_ = false;
   std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
-  std::unordered_set<uint64_t> cancelled_;
 };
 
 // ---------------------------------------------------------------------------
@@ -132,7 +120,6 @@ struct WorkloadResult {
   SimTime final_now = 0;
   uint64_t executed = 0;
   size_t pending = 0;
-  std::vector<bool> cancel_results;
 };
 
 template <typename Sim>
@@ -163,7 +150,6 @@ class WorkloadDriver {
     out.final_now = sim.Now();
     out.executed = sim.executed_events();
     out.pending = sim.pending_events();
-    out.cancel_results = std::move(cancel_results_);
     sim_ = nullptr;
     return out;
   }
@@ -173,9 +159,7 @@ class WorkloadDriver {
     if (budget_ == 0) return;
     --budget_;
     uint64_t marker = next_marker_++;
-    auto id = sim_->ScheduleAfter(RandomDelay(r),
-                                  [this, marker]() { OnFire(marker); });
-    ids_.push_back(id);
+    sim_->ScheduleAfter(RandomDelay(r), [this, marker]() { OnFire(marker); });
   }
 
   SimDuration RandomDelay(SplitMix& r) {
@@ -204,11 +188,8 @@ class WorkloadDriver {
     int ops = static_cast<int>(r.Next() % 3);
     for (int i = 0; i < ops; ++i) {
       uint64_t roll = r.Next() % 100;
-      if (roll < 55) {
+      if (roll < 70) {
         ScheduleRandom(r);
-      } else if (roll < 70 && !ids_.empty()) {
-        bool ok = sim_->Cancel(ids_[r.Next() % ids_.size()]);
-        cancel_results_.push_back(ok);
       } else if (roll < 74) {
         sim_->Stop();
       } else if (roll < 80) {
@@ -224,18 +205,14 @@ class WorkloadDriver {
     if (budget_ == 0) return;
     --budget_;
     uint64_t marker = next_marker_++;
-    auto id =
-        sim_->ScheduleAt(sim_->Now(), [this, marker]() { OnFire(marker); });
-    ids_.push_back(id);
+    sim_->ScheduleAt(sim_->Now(), [this, marker]() { OnFire(marker); });
   }
 
   uint64_t seed_;
   Sim* sim_ = nullptr;
   int budget_ = 4000;
   uint64_t next_marker_ = 0;
-  std::vector<typename Sim::EventId> ids_;
   std::vector<std::pair<SimTime, uint64_t>> trace_;
-  std::vector<bool> cancel_results_;
 };
 
 TEST(SimKernelLockstepTest, MatchesReferenceHeapOnRandomWorkloads) {
@@ -247,8 +224,6 @@ TEST(SimKernelLockstepTest, MatchesReferenceHeapOnRandomWorkloads) {
     EXPECT_EQ(actual.final_now, expected.final_now) << "seed " << seed;
     EXPECT_EQ(actual.executed, expected.executed) << "seed " << seed;
     EXPECT_EQ(actual.pending, expected.pending) << "seed " << seed;
-    EXPECT_EQ(actual.cancel_results, expected.cancel_results)
-        << "seed " << seed;
   }
 }
 
@@ -366,22 +341,6 @@ TEST(SimKernelTest, ReentrantScheduleAtNowRunsAfterQueuedPeers) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(SimKernelTest, CancelledEventIsDiscardedWithoutRunningOrAdvancing) {
-  Simulator sim;
-  int fired = 0;
-  Simulator::EventId id = sim.ScheduleAt(Millis(5), [&]() { ++fired; });
-  sim.ScheduleAt(Millis(2), [&]() { ++fired; });
-  EXPECT_TRUE(sim.Cancel(id));
-  EXPECT_FALSE(sim.Cancel(id));  // double-cancel
-  EXPECT_FALSE(sim.Cancel(9999));  // never issued
-  sim.Run();
-  EXPECT_EQ(fired, 1);
-  // The cancelled event never executed and never advanced the clock.
-  EXPECT_EQ(sim.Now(), Millis(2));
-  EXPECT_EQ(sim.executed_events(), 1u);
-  EXPECT_EQ(sim.pending_events(), 0u);
-}
-
 TEST(SimKernelTest, InPlaceCallbackSchedulesMoreThanOnePoolChunk) {
   // Callbacks run in place in their event node, which stays off every list
   // until the callback returns. Scheduling well over one pool chunk (256
@@ -414,66 +373,6 @@ TEST(SimKernelTest, InPlaceCallbackSchedulesMoreThanOnePoolChunk) {
   for (size_t i = 0; i < 8; ++i) EXPECT_EQ(order[i], 0xC0FFEEu) << i;
   EXPECT_EQ(order[8], 64u);
   EXPECT_EQ(std::get<2>(actual), 601u);
-}
-
-TEST(SimKernelTest, CallbackCancellingItsOwnFiringIdLeavesAStaleTombstone) {
-  // Cancel of an id whose event is already running is a harmless no-op
-  // that still lays a (never-hit) tombstone and reports success; a second
-  // cancel finds the tombstone. Firing in place must not change that.
-  auto drive = [](auto& sim) {
-    std::vector<int> log;
-    auto self = std::make_shared<uint64_t>(0);
-    auto results = std::make_shared<std::vector<bool>>();
-    *self = sim.ScheduleAt(Millis(1), [&sim, &log, self, results]() {
-      log.push_back(1);
-      results->push_back(sim.Cancel(*self));
-      results->push_back(sim.Cancel(*self));
-      sim.ScheduleAt(sim.Now(), [&log]() { log.push_back(2); });
-    });
-    sim.ScheduleAt(Millis(2), [&log]() { log.push_back(3); });
-    sim.Run();
-    return std::make_tuple(log, *results, sim.Now(), sim.executed_events(),
-                           sim.pending_events());
-  };
-  Simulator sim;
-  ReferenceSimulator ref;
-  auto actual = drive(sim);
-  EXPECT_EQ(actual, drive(ref));
-  EXPECT_EQ(std::get<0>(actual), (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(std::get<1>(actual), (std::vector<bool>{true, false}));
-  EXPECT_EQ(std::get<2>(actual), Millis(2));
-  EXPECT_EQ(std::get<3>(actual), 3u);
-}
-
-TEST(SimKernelTest, CancelSurvivesOverflowMigration) {
-  // Audit pin for CalendarQueue::Push's migrate-before-insert: an event
-  // cancelled while parked in the overflow heap must still be discarded
-  // after it migrates into the ring (the tombstone is keyed by seq, which
-  // migration preserves). Lockstepped against the reference heap, which
-  // has no ring/overflow split at all.
-  auto drive = [](auto& sim) {
-    std::vector<int> order;
-    // Far beyond the ~524 ms ring horizon: lives in the overflow heap.
-    auto doomed = sim.ScheduleAt(Seconds(1), [&order]() { order.push_back(-1); });
-    sim.ScheduleAt(Seconds(1) - 5, [&order]() { order.push_back(0); });
-    sim.ScheduleAt(Seconds(1), [&order]() { order.push_back(1); });
-    sim.ScheduleAt(Seconds(1) + 5, [&order]() { order.push_back(2); });
-    bool cancelled = sim.Cancel(doomed);
-    // Advance past the horizon so the overflow events migrate into the
-    // ring (the cancelled node travels with its seq intact), then drain.
-    sim.RunUntil(Millis(600));
-    sim.Run();
-    return std::make_tuple(cancelled, order, sim.Now(), sim.executed_events(),
-                           sim.pending_events());
-  };
-  Simulator sim;
-  ReferenceSimulator ref;
-  auto actual = drive(sim);
-  auto expected = drive(ref);
-  EXPECT_EQ(actual, expected);
-  EXPECT_TRUE(std::get<0>(actual));
-  EXPECT_EQ(std::get<1>(actual), (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(std::get<3>(actual), 3u);
 }
 
 TEST(SimKernelTest, FarFutureEventsCrossTheOverflowHorizonInOrder) {
