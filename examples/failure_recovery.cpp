@@ -26,8 +26,7 @@ int main() {
   int committed = 0;
   for (int i = 1; i <= 5; ++i) {
     simulator.ScheduleAt(Millis(100) * i, [&group, &committed, i]() {
-      Status s = group.leader()->Propose(
-          static_cast<raft::PayloadId>(i), [&committed]() { ++committed; });
+      Status s = group.leader()->Propose([&committed]() { ++committed; });
       std::printf("t=%.0fms propose #%d: %s\n", 0.1 * 1000 * i, i,
                   s.ToString().c_str());
     });
@@ -56,9 +55,8 @@ int main() {
   int committed_after = 0;
   for (int i = 6; i <= 10; ++i) {
     simulator.ScheduleAfter(Millis(50) * (i - 5), [new_leader,
-                                                   &committed_after, i]() {
-      (void)new_leader->Propose(static_cast<raft::PayloadId>(i),
-                                [&committed_after]() { ++committed_after; });
+                                                   &committed_after]() {
+      (void)new_leader->Propose([&committed_after]() { ++committed_after; });
     });
   }
   simulator.RunUntil(Seconds(10));

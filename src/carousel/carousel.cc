@@ -16,7 +16,6 @@ CarouselServer::CarouselServer(CarouselEngine* engine, int partition, int site,
     : net::Node(engine->cluster()->transport(), site, clock),
       engine_(engine),
       partition_(partition),
-      payload_ids_(engine->NewPayloadAllocator()),
       kv_(engine->cluster()->options().default_value) {
   obs::MetricsRegistry* m = engine->cluster()->metrics();
   const std::string prefix =
@@ -32,7 +31,7 @@ void CarouselServer::HandleReadPrepare(const WireTxn& txn) {
   std::vector<Key> writes = topo.LocalKeys(txn.write_set, partition_);
 
   TxnId id = txn.id;
-  net::NodeId coord = txn.coordinator;
+  auto* co = engine_->coordinator_at(txn.origin_site);
   int partition = partition_;
 
   if (finished_.contains(id) || prepared_.HasConflict(reads, writes)) {
@@ -55,8 +54,7 @@ void CarouselServer::HandleReadPrepare(const WireTxn& txn) {
                   partition, TrueNow());
       tr->AttributeAbort(id, cause);
     }
-    auto* co = engine_->coordinator_by_node(coord);
-    SendTo(coord, kMessageHeaderBytes, [co, id, partition, cause]() {
+    SendTo(co->id(), kMessageHeaderBytes, [co, id, partition, cause]() {
       co->HandleVote(id, partition, /*replica=*/0, /*ok=*/false, {}, cause);
     });
     return;
@@ -72,8 +70,8 @@ void CarouselServer::HandleReadPrepare(const WireTxn& txn) {
     store::VersionedValue v = kv_.Get(k);
     results.push_back(txn::ReadResult{k, v.value, v.version});
   }
-  auto* gw = engine_->gateway_by_node(txn.client);
-  SendTo(txn.client, WireKvBytes(results.size()),
+  auto* gw = engine_->gateway_at(txn.origin_site);
+  SendTo(gw->id(), WireKvBytes(results.size()),
          [gw, id, partition, results]() {
            gw->HandleReadResults(id, partition, results);
          });
@@ -82,18 +80,16 @@ void CarouselServer::HandleReadPrepare(const WireTxn& txn) {
   if (obs::Tracer* tr = engine_->cluster()->tracer()) {
     tr->SpanBegin(id, "prepare", partition_, TrueNow());
   }
-  auto* co = engine_->coordinator_by_node(coord);
   engine_->cluster()->group(partition_)->Propose(
-      payload_ids_.Next(),
-      [this, co, coord, id, partition]() {
+      [this, co, id, partition]() {
         if (obs::Tracer* tr = engine_->cluster()->tracer()) {
           tr->SpanEnd(id, "prepare", partition, TrueNow());
         }
-        SendTo(coord, kMessageHeaderBytes, [co, id, partition]() {
+        SendTo(co->id(), kMessageHeaderBytes, [co, id, partition]() {
           co->HandleVote(id, partition, /*replica=*/0, /*ok=*/true);
         });
       },
-      [this, co, coord, id, partition](bool timed_out) {
+      [this, co, id, partition](bool timed_out) {
         replication_fail_vote_no_->Inc();
         obs::AbortCause cause = timed_out ? obs::AbortCause::kLeaderFailover
                                           : obs::AbortCause::kReplicationFailed;
@@ -102,7 +98,7 @@ void CarouselServer::HandleReadPrepare(const WireTxn& txn) {
           tr->AttributeAbort(id, cause);
         }
         prepared_.Remove(id);
-        SendTo(coord, kMessageHeaderBytes, [co, id, partition, cause]() {
+        SendTo(co->id(), kMessageHeaderBytes, [co, id, partition, cause]() {
           co->HandleVote(id, partition, /*replica=*/0, /*ok=*/false, {}, cause);
         });
       });
@@ -117,7 +113,7 @@ void CarouselServer::HandleCommit(TxnId id,
   // The commit decision is already fixed at the coordinator, so the write
   // data must eventually replicate even across leader changes.
   engine_->cluster()->group(partition_)->ProposeWithRetry(
-      payload_ids_.Next(), [this, id, writes = std::move(writes)]() {
+      [this, id, writes = std::move(writes)]() {
         for (const auto& [k, v] : writes) kv_.Apply(k, v, id);
         prepared_.Remove(id);
         finished_.insert(id);
@@ -140,7 +136,6 @@ CarouselFastReplica::CarouselFastReplica(CarouselEngine* engine, int partition,
       engine_(engine),
       partition_(partition),
       replica_(replica),
-      payload_ids_(engine->NewPayloadAllocator()),
       kv_(engine->cluster()->options().default_value) {
   obs::MetricsRegistry* m = engine->cluster()->metrics();
   const std::string prefix = "carousel.replica.p" + std::to_string(partition) +
@@ -156,7 +151,8 @@ void CarouselFastReplica::HandleReadPrepare(const WireTxn& txn) {
   std::vector<Key> writes = topo.LocalKeys(txn.write_set, partition_);
 
   TxnId id = txn.id;
-  auto* co = engine_->coordinator_by_node(txn.coordinator);
+  auto* co = engine_->coordinator_at(txn.origin_site);
+  auto* gw = engine_->gateway_at(txn.origin_site);
   int partition = partition_;
   int replica = replica_;
 
@@ -183,27 +179,25 @@ void CarouselFastReplica::HandleReadPrepare(const WireTxn& txn) {
     results.push_back(txn::ReadResult{k, v.value, v.version});
     versions.emplace_back(k, v.version);
   }
-  auto* gw = engine_->gateway_by_node(txn.client);
-  SendTo(txn.client, WireKvBytes(results.size()),
+  SendTo(gw->id(), WireKvBytes(results.size()),
          [gw, id, partition, results]() {
            gw->HandleReadResults(id, partition, results);
          });
-  SendTo(txn.coordinator, kMessageHeaderBytes + versions.size() * 8,
+  SendTo(co->id(), kMessageHeaderBytes + versions.size() * 8,
          [co, id, partition, replica, ok, versions, cause]() {
            co->HandleVote(id, partition, replica, ok, versions, cause);
          });
 }
 
 void CarouselFastReplica::HandleSlowPrepare(
-    TxnId id, net::NodeId coordinator,
+    TxnId id, int origin_site,
     std::vector<std::pair<Key, uint64_t>> read_versions,
     std::vector<Key> read_keys, std::vector<Key> write_keys) {
   NATTO_DCHECK(replica_ == 0) << "slow path is arbitrated by the leader";
-  auto* co = engine_->coordinator_by_node(coordinator);
+  auto* co = engine_->coordinator_at(origin_site);
   int partition = partition_;
-  auto vote = [this, co, coordinator, id, partition](bool ok,
-                                                     obs::AbortCause cause) {
-    SendTo(coordinator, kMessageHeaderBytes, [co, id, partition, ok, cause]() {
+  auto vote = [this, co, id, partition](bool ok, obs::AbortCause cause) {
+    SendTo(co->id(), kMessageHeaderBytes, [co, id, partition, ok, cause]() {
       co->HandleSlowVote(id, partition, ok, cause);
     });
   };
@@ -248,7 +242,6 @@ void CarouselFastReplica::HandleSlowPrepare(
     tr->SpanBegin(id, "slow_prepare", partition_, TrueNow());
   }
   engine_->cluster()->group(partition_)->Propose(
-      payload_ids_.Next(),
       [this, vote, id, partition]() {
         if (obs::Tracer* tr = engine_->cluster()->tracer()) {
           tr->SpanEnd(id, "slow_prepare", partition, TrueNow());
@@ -289,8 +282,7 @@ void CarouselFastReplica::HandleAbort(TxnId id) {
 CarouselCoordinator::CarouselCoordinator(CarouselEngine* engine, int site,
                                          sim::NodeClock clock)
     : net::Node(engine->cluster()->transport(), site, clock),
-      engine_(engine),
-      payload_ids_(engine->NewPayloadAllocator()) {
+      engine_(engine) {
   obs::MetricsRegistry* m = engine->cluster()->metrics();
   const std::string prefix = "carousel.coord.s" + std::to_string(site) + ".";
   slow_path_starts_ = m->GetCounter(prefix + "slow_path_starts");
@@ -365,8 +357,9 @@ void CarouselCoordinator::MaybeStartSlowPath(TxnId id, int partition) {
   }
   auto* leader = engine_->fast_replica(partition, 0);
   SendTo(leader->id(), WireKeysBytes(read_keys.size() + write_keys.size()),
-         [leader, id, coord = this->id(), versions, read_keys, write_keys]() {
-           leader->HandleSlowPrepare(id, coord, versions, read_keys,
+         [leader, id, origin = st.txn.origin_site, versions, read_keys,
+          write_keys]() {
+           leader->HandleSlowPrepare(id, origin, versions, read_keys,
                                      write_keys);
          });
 }
@@ -418,7 +411,6 @@ void CarouselCoordinator::HandleCommitRequest(
         engine_->cluster()->topology().PartitionLedAt(site());
     NATTO_CHECK(local_partition >= 0);
     engine_->cluster()->group(local_partition)->Propose(
-        payload_ids_.Next(),
         [this, id]() {
           auto it2 = txns_.find(id);
           if (it2 == txns_.end()) return;
@@ -488,12 +480,12 @@ void CarouselCoordinator::Decide(TxnId id, bool commit,
   const txn::Topology& topo = engine_->cluster()->topology();
 
   // Notify the client (transaction completion point).
-  auto* gw = engine_->gateway_by_node(st.txn.client);
+  auto* gw = engine_->gateway_at(st.txn.origin_site);
   txn::TxnOutcome outcome =
       commit ? txn::TxnOutcome::kCommitted
              : (st.user_abort ? txn::TxnOutcome::kUserAborted
                               : txn::TxnOutcome::kAborted);
-  SendTo(st.txn.client, kMessageHeaderBytes,
+  SendTo(gw->id(), kMessageHeaderBytes,
          [gw, id, outcome, reason, cause]() {
            gw->HandleDecision(id, outcome, reason, cause);
          });
@@ -549,8 +541,7 @@ void CarouselGateway::StartTxn(const txn::TxnRequest& request,
   w.priority = request.priority;
   w.read_set = request.read_set;
   w.write_set = request.write_set;
-  w.coordinator = coord->id();
-  w.client = id();
+  w.origin_site = site();
 
   std::vector<int> participants =
       topo.Participants(request.read_set, request.write_set);
@@ -560,11 +551,8 @@ void CarouselGateway::StartTxn(const txn::TxnRequest& request,
     tr->SpanBegin(request.id, "round1", /*partition=*/-1, TrueNow());
   }
 
-  ClientTxn st;
-  st.request = request;
-  st.done = std::move(done);
-  st.awaiting.insert(participants.begin(), participants.end());
-  txns_[request.id] = std::move(st);
+  txns_.insert_or_assign(
+      request.id, txn::ClientTxn(request, std::move(done), participants));
 
   SendTo(coord->id(),
          WireKeysBytes(request.read_set.size() + request.write_set.size()),
@@ -589,31 +577,17 @@ void CarouselGateway::HandleReadResults(TxnId id, int partition,
                                         std::vector<txn::ReadResult> reads) {
   auto it = txns_.find(id);
   if (it == txns_.end()) return;  // already decided
-  ClientTxn& st = it->second;
-  if (st.awaiting.erase(partition) == 0) return;  // duplicate (fast path)
-  for (const txn::ReadResult& r : reads) st.reads[r.key] = r;
-  MaybeFinishRound1(id);
+  // A later fast-path replica's reads are dropped.
+  if (it->second.TakeReads(partition, reads)) FinishRound1(it->second);
 }
 
-void CarouselGateway::MaybeFinishRound1(TxnId id) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  ClientTxn& st = it->second;
-  if (!st.awaiting.empty() || st.sent_round2) return;
-  st.sent_round2 = true;
+void CarouselGateway::FinishRound1(txn::ClientTxn& st) {
+  TxnId id = st.request.id;
   if (obs::Tracer* tr = engine_->cluster()->tracer()) {
     tr->SpanEnd(id, "round1", /*partition=*/-1, TrueNow());
   }
 
-  // Reads ordered as declared in the request.
-  std::vector<txn::ReadResult> ordered;
-  ordered.reserve(st.request.read_set.size());
-  for (Key k : st.request.read_set) {
-    auto r = st.reads.find(k);
-    NATTO_CHECK(r != st.reads.end()) << "missing read result for key " << k;
-    ordered.push_back(r->second);
-  }
-
+  std::vector<txn::ReadResult> ordered = st.ReadsInOrder();
   txn::WriteDecision d = st.request.compute_writes(ordered);
   auto* coord = engine_->coordinator_at(site());
   if (d.user_abort) {
@@ -643,30 +617,10 @@ void CarouselGateway::HandleDecision(TxnId id, txn::TxnOutcome outcome,
                                      obs::AbortCause cause) {
   auto it = txns_.find(id);
   if (it == txns_.end()) return;
-  ClientTxn st = std::move(it->second);
+  txn::ClientTxn st = std::move(it->second);
   txns_.erase(it);
-
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    const char* name = outcome == txn::TxnOutcome::kCommitted ? "committed"
-                       : outcome == txn::TxnOutcome::kUserAborted
-                           ? "user_aborted"
-                           : "aborted";
-    tr->TxnEnd(id, name, cause, TrueNow());
-  }
-
-  txn::TxnResult result;
-  result.outcome = outcome;
-  result.abort_reason = std::move(reason);
-  result.abort_cause =
-      outcome == txn::TxnOutcome::kCommitted ? obs::AbortCause::kNone : cause;
-  if (outcome == txn::TxnOutcome::kCommitted) {
-    for (Key k : st.request.read_set) {
-      auto r = st.reads.find(k);
-      if (r != st.reads.end()) result.reads.push_back(r->second);
-    }
-    result.writes = st.writes;
-  }
-  st.done(result);
+  st.Report(engine_->cluster()->tracer(), TrueNow(), outcome,
+            std::move(reason), cause);
 }
 
 // ---------------------------------------------------------------------------
@@ -696,9 +650,6 @@ CarouselEngine::CarouselEngine(txn::Cluster* cluster, CarouselOptions options)
     gateways_.push_back(
         std::make_unique<CarouselGateway>(this, s, cluster_->MakeClock()));
   }
-  // Node-id indexed lookup for message closures.
-  for (auto& c : coordinators_) coord_by_node_[c->id()] = c.get();
-  for (auto& g : gateways_) gateway_by_node_[g->id()] = g.get();
 }
 
 void CarouselEngine::Execute(const txn::TxnRequest& request,
@@ -712,28 +663,6 @@ Value CarouselEngine::DebugValue(Key key) {
   int p = cluster_->topology().PartitionOfKey(key);
   if (options_.fast_path) return fast_replicas_[p][0]->kv()->Get(key).value;
   return servers_[p]->kv()->Get(key).value;
-}
-
-uint64_t CarouselEngine::payload_ids_issued() const {
-  uint64_t total = 0;
-  for (const auto& s : servers_) total += s->payload_ids_.issued();
-  for (const auto& partition : fast_replicas_) {
-    for (const auto& r : partition) total += r->payload_ids_.issued();
-  }
-  for (const auto& c : coordinators_) total += c->payload_ids_.issued();
-  return total;
-}
-
-CarouselCoordinator* CarouselEngine::coordinator_by_node(net::NodeId node) {
-  auto it = coord_by_node_.find(node);
-  NATTO_CHECK(it != coord_by_node_.end());
-  return it->second;
-}
-
-CarouselGateway* CarouselEngine::gateway_by_node(net::NodeId node) {
-  auto it = gateway_by_node_.find(node);
-  NATTO_CHECK(it != gateway_by_node_.end());
-  return it->second;
 }
 
 }  // namespace natto::carousel

@@ -13,9 +13,9 @@
 #include "net/node.h"
 #include "obs/abort_cause.h"
 #include "obs/metrics.h"
-#include "raft/raft.h"
 #include "store/kv_store.h"
 #include "store/prepared_set.h"
+#include "txn/client_txn.h"
 #include "txn/cluster.h"
 #include "txn/transaction.h"
 
@@ -35,8 +35,7 @@ struct WireTxn {
   txn::Priority priority = txn::Priority::kLow;
   std::vector<Key> read_set;   // full transaction read set
   std::vector<Key> write_set;  // full transaction write set
-  net::NodeId coordinator = -1;
-  net::NodeId client = -1;
+  int origin_site = 0;  // names the client's gateway and coordinator
 };
 
 class CarouselEngine;
@@ -59,11 +58,8 @@ class CarouselServer : public net::Node {
   int partition() const { return partition_; }
 
  private:
-  friend class CarouselEngine;
-
   CarouselEngine* engine_;
   int partition_;
-  raft::PayloadIdAllocator payload_ids_;
   store::KvStore kv_;
   store::PreparedSet prepared_;
   FlatSet finished_;  // tombstones for late arrivals
@@ -87,7 +83,7 @@ class CarouselFastReplica : public net::Node {
   /// Slow-path fallback (leader only): validates the client's reads against
   /// the leader's state, prepares with OCC and replicates the prepare
   /// record; votes ok/fail to the coordinator.
-  void HandleSlowPrepare(TxnId id, net::NodeId coordinator,
+  void HandleSlowPrepare(TxnId id, int origin_site,
                          std::vector<std::pair<Key, uint64_t>> read_versions,
                          std::vector<Key> read_keys,
                          std::vector<Key> write_keys);
@@ -98,12 +94,9 @@ class CarouselFastReplica : public net::Node {
   store::KvStore* kv() { return &kv_; }
 
  private:
-  friend class CarouselEngine;
-
   CarouselEngine* engine_;
   int partition_;
   int replica_;
-  raft::PayloadIdAllocator payload_ids_;
   store::KvStore kv_;
   store::PreparedSet prepared_;
   FlatSet finished_;
@@ -146,8 +139,6 @@ class CarouselCoordinator : public net::Node {
                       obs::AbortCause cause = obs::AbortCause::kNone);
 
  private:
-  friend class CarouselEngine;
-
   struct TxnState {
     WireTxn txn;
     /// Messages (votes) can overtake HandleBegin under network jitter;
@@ -184,7 +175,6 @@ class CarouselCoordinator : public net::Node {
               obs::AbortCause cause);
 
   CarouselEngine* engine_;
-  raft::PayloadIdAllocator payload_ids_;
   std::unordered_map<TxnId, TxnState> txns_;
   FlatSet decided_;  // ignore late messages
 
@@ -210,21 +200,12 @@ class CarouselGateway : public net::Node {
                       obs::AbortCause cause = obs::AbortCause::kNone);
 
  private:
-  friend class CarouselEngine;
-
-  struct ClientTxn {
-    txn::TxnRequest request;
-    txn::TxnCallback done;
-    std::unordered_set<int> awaiting;  // partitions with pending reads
-    std::unordered_map<Key, txn::ReadResult> reads;
-    std::vector<std::pair<Key, Value>> writes;
-    bool sent_round2 = false;
-  };
-
-  void MaybeFinishRound1(TxnId id);
+  /// Runs the write computation once every read partition has answered
+  /// and sends round 2 to the coordinator.
+  void FinishRound1(txn::ClientTxn& st);
 
   CarouselEngine* engine_;
-  std::unordered_map<TxnId, ClientTxn> txns_;
+  std::unordered_map<TxnId, txn::ClientTxn> txns_;
 };
 
 /// Carousel (SIGMOD'18), the substrate Natto builds on and one of the
@@ -245,6 +226,8 @@ class CarouselEngine : public txn::TxnEngine {
   CarouselFastReplica* fast_replica(int partition, int replica) {
     return fast_replicas_[partition][replica].get();
   }
+  /// The coordinator and gateway serving clients at `site`. Wire records
+  /// name a transaction's origin site; replies find these through it.
   CarouselCoordinator* coordinator_at(int site) {
     return coordinators_[site].get();
   }
@@ -254,39 +237,7 @@ class CarouselEngine : public txn::TxnEngine {
   /// 0).
   Value DebugValue(Key key) override;
 
-  /// Node-id lookups used by message closures.
-  CarouselCoordinator* coordinator_by_node(net::NodeId node);
-  CarouselGateway* gateway_by_node(net::NodeId node);
-
-  /// First replication payload id this engine family issues; each family
-  /// uses a distinct range so mixed-engine Raft logs stay readable.
-  static constexpr uint64_t kPayloadIdBase = 1;
-
-  /// Hands the next dense payload-id stripe to a proposing node (servers,
-  /// fast replicas and coordinators call this from their constructors, on
-  /// the main thread). Per-node striping replaces the old engine-wide
-  /// `next_id++` counter, which proposers on different site lanes would
-  /// race on under the site-parallel kernel. Must stay per-instance (not a
-  /// process-wide static): two engines in one process would otherwise share
-  /// stripes.
-  raft::PayloadIdAllocator NewPayloadAllocator() {
-    return raft::PayloadIdAllocator(kPayloadIdBase, payload_stripes_++);
-  }
-
-  /// Stripes handed out so far (test hook for the isolation invariant).
-  uint32_t payload_stripes() const { return payload_stripes_; }
-
-  /// Total replication payload ids issued across this engine's proposers
-  /// (test hook: equal work on equal configs issues equal totals, and a
-  /// fresh engine always starts at zero).
-  uint64_t payload_ids_issued() const;
-
  private:
-  friend class CarouselServer;
-  friend class CarouselFastReplica;
-  friend class CarouselCoordinator;
-  friend class CarouselGateway;
-
   txn::Cluster* cluster_;
   CarouselOptions options_;
   std::vector<std::unique_ptr<CarouselServer>> servers_;  // basic path
@@ -294,9 +245,6 @@ class CarouselEngine : public txn::TxnEngine {
       fast_replicas_;  // fast path
   std::vector<std::unique_ptr<CarouselCoordinator>> coordinators_;  // per site
   std::vector<std::unique_ptr<CarouselGateway>> gateways_;          // per site
-  std::unordered_map<net::NodeId, CarouselCoordinator*> coord_by_node_;
-  std::unordered_map<net::NodeId, CarouselGateway*> gateway_by_node_;
-  uint32_t payload_stripes_ = 0;
 };
 
 }  // namespace natto::carousel

@@ -168,8 +168,10 @@ void Client::Attempt(txn::TxnRequest request, SimTime first_start, int attempt,
 SimDuration Client::HedgeDelay(bool high) const {
   const size_t pri = high ? 1 : 0;
   const size_t n = hedge_count_[pri];
-  if (options_.hedge_min_samples > 0 &&
-      n < static_cast<size_t>(options_.hedge_min_samples)) {
+  // No settled attempt yet: there is no percentile to take (and rank
+  // n - 1 below would wrap around).
+  if (n == 0 || (options_.hedge_min_samples > 0 &&
+                 n < static_cast<size_t>(options_.hedge_min_samples))) {
     return options_.hedge_min_delay;
   }
   // Nearest-rank percentile over the observation ring (same convention as
@@ -242,23 +244,8 @@ void Client::HandleOutcome(const txn::TxnResult& result,
         abort_cause_[static_cast<int>(result.abort_cause)]->Inc();
       }
       RecordTimelineAbort(/*timeout=*/false);
-      if (attempt >= options_.max_attempts) {
-        if (in_window) {
-          const bool high = txn::IsPrioritized(original_priority);
-          simulator_->DeferOrdered([stats = stats_, high]() {
-            ++stats->failed;
-            ++(high ? stats->failed_high : stats->failed_low);
-          });
-        }
-        return;
-      }
-      txn::TxnRequest retry = std::move(request);
-      if (options_.promote_after_aborts > 0 &&
-          attempt >= options_.promote_after_aborts) {
-        retry.priority = txn::Priority::kHigh;
-      }
-      RetryAfterBackoff(std::move(retry), first_start, attempt + 1,
-                        original_priority);
+      GiveUpOrRetry(std::move(request), first_start, attempt,
+                    original_priority, in_window);
       return;
     }
   }
@@ -276,6 +263,13 @@ void Client::HandleTimeout(txn::TxnRequest request, SimTime first_start,
     abort_cause_[static_cast<int>(obs::AbortCause::kTimeout)]->Inc();
   }
   RecordTimelineAbort(/*timeout=*/true);
+  GiveUpOrRetry(std::move(request), first_start, attempt, original_priority,
+                in_window);
+}
+
+void Client::GiveUpOrRetry(txn::TxnRequest request, SimTime first_start,
+                           int attempt, txn::Priority original_priority,
+                           bool in_window) {
   if (attempt >= options_.max_attempts) {
     if (in_window) {
       const bool high = txn::IsPrioritized(original_priority);

@@ -124,6 +124,12 @@ class Client {
                      txn::Priority original_priority);
   void HandleTimeout(txn::TxnRequest request, SimTime first_start,
                      int attempt, txn::Priority original_priority);
+  /// The tail of every failed attempt: counts the transaction as failed
+  /// once `attempt` reaches max_attempts, else retries it (promoted to high
+  /// priority after promote_after_aborts failures).
+  void GiveUpOrRetry(txn::TxnRequest request, SimTime first_start,
+                     int attempt, txn::Priority original_priority,
+                     bool in_window);
   /// Schedules the next attempt after the configured backoff (immediately,
   /// synchronously, when backoff is off — the paper's retry loop).
   void RetryAfterBackoff(txn::TxnRequest request, SimTime first_start,

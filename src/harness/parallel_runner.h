@@ -27,8 +27,7 @@ int DefaultJobs();
 /// results are merged in submission order and the aggregate output is
 /// bit-identical for any job count. Tasks must be mutually independent:
 /// every cell builds its own Simulator/Cluster/engine and shares no mutable
-/// state with its siblings (the engines are instance-isolated for exactly
-/// this reason — see each engine's NewPayloadAllocator()).
+/// state with its siblings (engines keep no process-wide state).
 class ParallelRunner {
  public:
   /// jobs <= 0 selects DefaultJobs().

@@ -63,7 +63,6 @@ NattoServer::NattoServer(NattoEngine* engine, int partition, int site,
     : net::Node(engine->cluster()->transport(), site, clock),
       engine_(engine),
       partition_(partition),
-      payload_ids_(engine->NewPayloadAllocator()),
       kv_(engine->cluster()->options().default_value) {
   obs::MetricsRegistry* reg = engine->cluster()->metrics();
   const std::string prefix =
@@ -123,8 +122,8 @@ void NattoServer::HandleReadPrepare(NattoWireTxn txn) {
     v.ok = false;
     v.reason = "transaction already finished here";
     v.cause = obs::AbortCause::kStaleRetry;
-    auto* co = engine_->coordinator_by_node(w.coordinator);
-    SendTo(w.coordinator, kMessageHeaderBytes,
+    auto* co = engine_->coordinator_at(w.origin_site);
+    SendTo(co->id(), kMessageHeaderBytes,
            [co, v = std::move(v)]() { co->HandleVote(v); });
     return;
   }
@@ -161,8 +160,8 @@ void NattoServer::Enqueue(TxnState&& st) {
       v.ok = false;
       v.reason = "timestamp order violation (late arrival)";
       v.cause = obs::AbortCause::kOrderViolation;
-      auto* co = engine_->coordinator_by_node(w.coordinator);
-      SendTo(w.coordinator, kMessageHeaderBytes,
+      auto* co = engine_->coordinator_at(w.origin_site);
+      SendTo(co->id(), kMessageHeaderBytes,
              [co, v = std::move(v)]() { co->HandleVote(v); });
       return;
     }
@@ -267,8 +266,8 @@ void NattoServer::ProcessTxn(TxnState&& st) {
       v.ok = false;
       v.reason = "OCC conflict";
       v.cause = obs::AbortCause::kOccConflict;
-      auto* co = engine_->coordinator_by_node(st.txn.coordinator);
-      SendTo(st.txn.coordinator, kMessageHeaderBytes,
+      auto* co = engine_->coordinator_at(st.txn.origin_site);
+      SendTo(co->id(), kMessageHeaderBytes,
              [co, v = std::move(v)]() { co->HandleVote(v); });
       return;
     }
@@ -346,15 +345,14 @@ void NattoServer::PrepareNow(TxnState&& st, bool conditional,
   }
 
   int version = st.read_version;
-  net::NodeId coord = st.txn.coordinator;
+  int origin = st.txn.origin_site;
   ServeReads(prepared_txns_.insert_or_assign(id, std::move(st)).first->second);
 
   // Replicate the prepare record, then vote. The vote is built when the
   // replication completes so it reflects the *current* conditional state:
   // a condition may resolve (or fail) while the prepare is replicating.
   engine_->cluster()->group(partition_)->Propose(
-      payload_ids_.Next(),
-      [this, id, version, coord, span_name]() {
+      [this, id, version, origin, span_name]() {
         if (obs::Tracer* tr = engine_->cluster()->tracer()) {
           tr->SpanEnd(id, span_name, partition_, TrueNow());
         }
@@ -368,11 +366,11 @@ void NattoServer::PrepareNow(TxnState&& st, bool conditional,
         vote.read_version = version;
         vote.conditional = it->second.conditional;
         vote.condition_on = it->second.condition_on;
-        auto* co = engine_->coordinator_by_node(coord);
-        SendTo(coord, kMessageHeaderBytes,
+        auto* co = engine_->coordinator_at(origin);
+        SendTo(co->id(), kMessageHeaderBytes,
                [co, vote = std::move(vote)]() { co->HandleVote(vote); });
       },
-      [this, id, version, coord, span_name](bool timed_out) {
+      [this, id, version, origin, span_name](bool timed_out) {
         // Prepare record lost to a leader failure: vote no; the
         // coordinator's abort cleans up the prepared state here.
         if (obs::Tracer* tr = engine_->cluster()->tracer()) {
@@ -389,8 +387,8 @@ void NattoServer::PrepareNow(TxnState&& st, bool conditional,
         vote.reason = "replication failed";
         vote.cause = timed_out ? obs::AbortCause::kLeaderFailover
                                : obs::AbortCause::kReplicationFailed;
-        auto* co = engine_->coordinator_by_node(coord);
-        SendTo(coord, kMessageHeaderBytes,
+        auto* co = engine_->coordinator_at(origin);
+        SendTo(co->id(), kMessageHeaderBytes,
                [co, vote = std::move(vote)]() { co->HandleVote(vote); });
       });
 }
@@ -402,13 +400,13 @@ void NattoServer::ServeReads(TxnState& st) {
     store::VersionedValue v = kv_.Get(k);
     results.push_back(txn::ReadResult{k, v.value, v.version});
   }
-  auto* gw = engine_->gateway_by_node(st.txn.client);
+  auto* gw = engine_->gateway_at(st.txn.origin_site);
   TxnId id = st.txn.id;
   int partition = partition_;
   int version = st.read_version;
   // Sized before the capture moves `results` (argument order is unspecified).
   size_t bytes = WireKvBytes(results.size());
-  SendTo(st.txn.client, bytes,
+  SendTo(gw->id(), bytes,
          [gw, id, partition, version, results = std::move(results)]() mutable {
            gw->HandleReadResults(id, partition, version, std::move(results));
          });
@@ -423,8 +421,8 @@ void NattoServer::PriorityAbort(const TxnState& victim, const char* why) {
   }
   finished_.insert(victim.txn.id);
   TxnId id = victim.txn.id;
-  auto* co = engine_->coordinator_by_node(victim.txn.coordinator);
-  SendTo(victim.txn.coordinator, kMessageHeaderBytes,
+  auto* co = engine_->coordinator_at(victim.txn.origin_site);
+  SendTo(co->id(), kMessageHeaderBytes,
          [co, id]() { co->HandlePriorityAbort(id); });
 }
 
@@ -447,13 +445,11 @@ void NattoServer::HandleCommit(TxnId id,
     // LECSF (Sec 3.4): the commit is already fault tolerant at the
     // coordinator, so make the writes visible before replicating them.
     complete(writes);
-    engine_->cluster()->group(partition_)->ProposeWithRetry(
-        payload_ids_.Next(), []() {});
+    engine_->cluster()->group(partition_)->ProposeWithRetry([]() {});
   } else {
     // The coordinator already reported the commit, so the write data must
     // eventually replicate even across leader changes.
     engine_->cluster()->group(partition_)->ProposeWithRetry(
-        payload_ids_.Next(),
         [complete, writes = std::move(writes)]() { complete(writes); });
   }
 }
@@ -499,15 +495,14 @@ void NattoServer::ResolveConditions(TxnId low, bool low_aborted) {
       continue;
     }
     TxnState& st = it->second;
-    net::NodeId coord = st.txn.coordinator;
+    auto* co = engine_->coordinator_at(st.txn.origin_site);
     int partition = partition_;
     if (low_aborted) {
       // Condition satisfied: the conditional prepare becomes firm.
       stats_.cp_satisfied->Inc();
       st.conditional = false;
       st.condition_on = 0;
-      auto* co = engine_->coordinator_by_node(coord);
-      SendTo(coord, kMessageHeaderBytes, [co, id, partition]() {
+      SendTo(co->id(), kMessageHeaderBytes, [co, id, partition]() {
         co->HandleConditionResolved(id, partition, /*satisfied=*/true);
       });
     } else {
@@ -520,8 +515,7 @@ void NattoServer::ResolveConditions(TxnId low, bool low_aborted) {
       prepared_txns_.erase(id);
       moved.conditional = false;
       moved.condition_on = 0;
-      auto* co = engine_->coordinator_by_node(coord);
-      SendTo(coord, kMessageHeaderBytes, [co, id, partition]() {
+      SendTo(co->id(), kMessageHeaderBytes, [co, id, partition]() {
         co->HandleConditionResolved(id, partition, /*satisfied=*/false);
       });
       OrderKey key{moved.txn.ts, moved.txn.id};
@@ -565,7 +559,7 @@ bool NattoServer::LowWillFinishInTime(const TxnState& low,
   // Expected time at which the low-priority transaction's commit reaches
   // this server, estimated from measured mean delays (Sec 3.3.1).
   const txn::Topology& topo = engine_->cluster()->topology();
-  int coord_site = low.txn.coordinator_site;
+  int coord_site = engine_->coordinator_at(low.txn.origin_site)->site();
   SimDuration votes_done = 0;
   for (const auto& [p, est] : low.txn.est_arrivals) {
     SimDuration repl = engine_->MajorityReplicationDelay(p);
@@ -629,15 +623,15 @@ void NattoServer::ForwardReadsRemote(const TxnState& high,
   int partition = partition_;
 
   if (!covered.empty()) {
-    auto* co = engine_->coordinator_by_node(blocker.txn.coordinator);
+    auto* co = engine_->coordinator_at(blocker.txn.origin_site);
     TxnId writer = blocker.txn.id;
-    net::NodeId client = high.txn.client;
+    int reader_site = high.txn.origin_site;
     size_t bytes = WireKeysBytes(covered.size());
-    SendTo(blocker.txn.coordinator, bytes,
+    SendTo(co->id(), bytes,
            [co, writer, reader, partition, covered = std::move(covered),
-            version, client]() mutable {
+            version, reader_site]() mutable {
              co->HandleRecsfRead(writer, reader, partition, std::move(covered),
-                                 version, client);
+                                 version, reader_site);
            });
   }
   if (!rest.empty()) {
@@ -647,9 +641,9 @@ void NattoServer::ForwardReadsRemote(const TxnState& high,
       store::VersionedValue v = kv_.Get(k);
       results.push_back(txn::ReadResult{k, v.value, v.version});
     }
-    auto* gw = engine_->gateway_by_node(high.txn.client);
+    auto* gw = engine_->gateway_at(high.txn.origin_site);
     size_t bytes = WireKvBytes(results.size());
-    SendTo(high.txn.client, bytes,
+    SendTo(gw->id(), bytes,
            [gw, reader, partition, version,
             results = std::move(results)]() mutable {
              gw->HandleReadResults(reader, partition, version,
@@ -665,8 +659,7 @@ void NattoServer::ForwardReadsRemote(const TxnState& high,
 NattoCoordinator::NattoCoordinator(NattoEngine* engine, int site,
                                    sim::NodeClock clock)
     : net::Node(engine->cluster()->transport(), site, clock),
-      engine_(engine),
-      payload_ids_(engine->NewPayloadAllocator()) {}
+      engine_(engine) {}
 
 void NattoCoordinator::HandleBegin(NattoWireTxn txn,
                                    std::vector<int> participants) {
@@ -764,7 +757,6 @@ void NattoCoordinator::HandleRound2(TxnId id,
   int local_partition = engine_->cluster()->topology().PartitionLedAt(site());
   NATTO_CHECK(local_partition >= 0);
   engine_->cluster()->group(local_partition)->Propose(
-      payload_ids_.Next(),
       [this, id, generation]() {
         auto it2 = txns_.find(id);
         if (it2 == txns_.end()) return;
@@ -836,12 +828,12 @@ void NattoCoordinator::Decide(TxnId id, bool commit, const std::string& reason,
     tr->Instant(id, commit ? "decide_commit" : "decide_abort", -1, TrueNow());
   }
 
-  auto* gw = engine_->gateway_by_node(st.txn.client);
+  auto* gw = engine_->gateway_at(st.txn.origin_site);
   txn::TxnOutcome outcome =
       commit ? txn::TxnOutcome::kCommitted
              : (st.user_abort ? txn::TxnOutcome::kUserAborted
                               : txn::TxnOutcome::kAborted);
-  SendTo(st.txn.client, kMessageHeaderBytes,
+  SendTo(gw->id(), kMessageHeaderBytes,
          [gw, id, outcome, reason = std::string(reason), cause]() mutable {
            gw->HandleDecision(id, outcome, std::move(reason), cause);
          });
@@ -883,17 +875,17 @@ void NattoCoordinator::Decide(TxnId id, bool commit, const std::string& reason,
 
 void NattoCoordinator::HandleRecsfRead(TxnId writer, TxnId reader,
                                        int partition, std::vector<Key> keys,
-                                       int read_version, net::NodeId client) {
+                                       int read_version, int reader_site) {
   auto cw = committed_writes_.find(writer);
   if (cw != committed_writes_.end()) {
     ServeRecsf(PendingRecsf{reader, partition, std::move(keys), read_version,
-                            client},
+                            reader_site},
                cw->second);
     return;
   }
   if (txns_.contains(writer)) {
     recsf_waiting_[writer].push_back(PendingRecsf{
-        reader, partition, std::move(keys), read_version, client});
+        reader, partition, std::move(keys), read_version, reader_site});
   }
   // Writer already aborted: the reader's normal path will serve the reads.
 }
@@ -911,12 +903,12 @@ void NattoCoordinator::ServeRecsf(
       }
     }
   }
-  auto* gw = engine_->gateway_by_node(req.client);
+  auto* gw = engine_->gateway_at(req.reader_site);
   TxnId reader = req.reader;
   int partition = req.partition;
   int version = req.read_version;
   size_t bytes = WireKvBytes(results.size());
-  SendTo(req.client, bytes,
+  SendTo(gw->id(), bytes,
          [gw, reader, partition, version,
           results = std::move(results)]() mutable {
            gw->HandleReadResults(reader, partition, version,
@@ -1006,9 +998,7 @@ void NattoGateway::StartTxn(const txn::TxnRequest& request,
   }
   w.read_set = request.read_set;
   w.write_set = request.write_set;
-  w.coordinator = coord->id();
-  w.client = id();
-  w.coordinator_site = coord->site();
+  w.origin_site = site();
 
   SimTime now = LocalNow();
   SimDuration max_est = 0;
@@ -1150,29 +1140,19 @@ void NattoGateway::HandleDecision(TxnId id, txn::TxnOutcome outcome,
   ClientTxn st = std::move(it->second);
   txns_.erase(it);
 
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    const char* name = outcome == txn::TxnOutcome::kCommitted ? "committed"
-                       : outcome == txn::TxnOutcome::kUserAborted
-                           ? "user_aborted"
-                           : "aborted";
-    tr->TxnEnd(id, name, cause, TrueNow());
-  }
-
-  txn::TxnResult result;
-  result.outcome = outcome;
-  result.abort_reason = std::move(reason);
-  result.abort_cause =
-      outcome == txn::TxnOutcome::kCommitted ? obs::AbortCause::kNone : cause;
+  // A commit reports the latest version of each read, in read-set order.
+  std::vector<txn::ReadResult> reads;
   if (outcome == txn::TxnOutcome::kCommitted) {
     const txn::Topology& topo = engine_->cluster()->topology();
     for (Key k : st.request.read_set) {
       if (const PartitionReads* pr = st.FindReads(topo.PartitionOfKey(k))) {
-        if (const txn::ReadResult* r = pr->Find(k)) result.reads.push_back(*r);
+        if (const txn::ReadResult* r = pr->Find(k)) reads.push_back(*r);
       }
     }
-    result.writes = st.writes;
   }
-  st.done(result);
+  txn::ReportDecision(engine_->cluster()->tracer(), TrueNow(), id, outcome,
+                      std::move(reason), cause, std::move(reads),
+                      std::move(st.writes), st.done);
 }
 
 // ---------------------------------------------------------------------------
@@ -1202,8 +1182,6 @@ NattoEngine::NattoEngine(txn::Cluster* cluster, NattoOptions options)
         std::make_unique<NattoGateway>(this, s, cluster_->MakeClock()));
     gateways_.back()->RefreshEstimates();
   }
-  for (auto& c : coordinators_) coord_by_node_[c->id()] = c.get();
-  for (auto& g : gateways_) gateway_by_node_[g->id()] = g.get();
 }
 
 void NattoEngine::Execute(const txn::TxnRequest& request,
@@ -1219,18 +1197,6 @@ std::string NattoEngine::name() const {
   if (options_.priority_abort) return "Natto-PA";
   if (options_.lecsf) return "Natto-LECSF";
   return "Natto-TS";
-}
-
-NattoCoordinator* NattoEngine::coordinator_by_node(net::NodeId node) {
-  auto it = coord_by_node_.find(node);
-  NATTO_CHECK(it != coord_by_node_.end());
-  return it->second;
-}
-
-NattoGateway* NattoEngine::gateway_by_node(net::NodeId node) {
-  auto it = gateway_by_node_.find(node);
-  NATTO_CHECK(it != gateway_by_node_.end());
-  return it->second;
 }
 
 SimDuration NattoEngine::MeanOneWay(int site_a, int site_b) const {
@@ -1257,13 +1223,6 @@ SimDuration NattoEngine::MajorityReplicationDelay(int partition) const {
 Value NattoEngine::DebugValue(Key key) {
   int p = cluster_->topology().PartitionOfKey(key);
   return servers_[p]->kv()->Get(key).value;
-}
-
-uint64_t NattoEngine::payload_ids_issued() const {
-  uint64_t total = 0;
-  for (const auto& s : servers_) total += s->payload_ids_.issued();
-  for (const auto& c : coordinators_) total += c->payload_ids_.issued();
-  return total;
 }
 
 NattoServer::Stats NattoEngine::TotalStats() const {

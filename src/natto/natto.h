@@ -12,10 +12,10 @@
 #include "net/node.h"
 #include "net/prober.h"
 #include "obs/abort_cause.h"
-#include "raft/raft.h"
 #include "obs/metrics.h"
 #include "store/kv_store.h"
 #include "store/prepared_set.h"
+#include "txn/client_txn.h"
 #include "txn/cluster.h"
 #include "txn/transaction.h"
 
@@ -69,9 +69,7 @@ struct NattoWireTxn {
   std::vector<Key> write_set;
   SimTime ts = 0;  // execution timestamp (estimated arrival at furthest)
   std::vector<std::pair<int, SimTime>> est_arrivals;  // partition -> est
-  net::NodeId coordinator = -1;
-  net::NodeId client = -1;
-  int coordinator_site = 0;
+  int origin_site = 0;  // names the client's gateway and coordinator
 };
 
 class NattoEngine;
@@ -123,8 +121,6 @@ class NattoServer : public net::Node {
   Stats stats() const;
 
  private:
-  friend class NattoEngine;
-
   struct TxnState {
     NattoWireTxn txn;
     std::vector<Key> local_reads;
@@ -174,7 +170,6 @@ class NattoServer : public net::Node {
 
   NattoEngine* engine_;
   int partition_;
-  raft::PayloadIdAllocator payload_ids_;
   store::KvStore kv_;
   store::PreparedSet prepared_;
 
@@ -221,14 +216,13 @@ class NattoCoordinator : public net::Node {
   void HandleRound2(TxnId id, std::vector<std::pair<Key, Value>> writes,
                     std::vector<std::pair<int, int>> versions,
                     bool user_abort);
-  /// RECSF: serve `keys` (written by committed txn `writer`) to `client`.
+  /// RECSF: serve `keys` (written by committed txn `writer`) to the
+  /// gateway at `reader_site`.
   void HandleRecsfRead(TxnId writer, TxnId reader, int partition,
                        std::vector<Key> keys, int read_version,
-                       net::NodeId client);
+                       int reader_site);
 
  private:
-  friend class NattoEngine;
-
   struct VoteState {
     bool have = false;
     bool ok = false;
@@ -264,7 +258,7 @@ class NattoCoordinator : public net::Node {
     int partition;
     std::vector<Key> keys;
     int read_version;
-    net::NodeId client;
+    int reader_site;
   };
 
   static VoteState& VoteOf(TxnState& st, int partition);
@@ -275,7 +269,6 @@ class NattoCoordinator : public net::Node {
                   const std::vector<std::pair<Key, Value>>& writes);
 
   NattoEngine* engine_;
-  raft::PayloadIdAllocator payload_ids_;
   std::unordered_map<TxnId, TxnState> txns_;
   /// Committed write data kept briefly for RECSF requests.
   std::unordered_map<TxnId, std::vector<std::pair<Key, Value>>> committed_writes_;
@@ -314,8 +307,6 @@ class NattoGateway : public net::Node {
   }
 
  private:
-  friend class NattoEngine;
-
   /// One participant's latest read version and its results, one per key.
   /// Read sets are small, so both levels are scanned vectors rather than
   /// per-transaction hash tables.
@@ -369,16 +360,13 @@ class NattoEngine : public txn::TxnEngine {
   const NattoOptions& options() const { return options_; }
 
   NattoServer* server(int partition) { return servers_[partition].get(); }
+  /// The coordinator and gateway serving clients at `site`. Wire records
+  /// name a transaction's origin site; replies find these through it.
   NattoCoordinator* coordinator_at(int site) {
     return coordinators_[site].get();
   }
   NattoGateway* gateway_at(int site) { return gateways_[site].get(); }
   net::Prober* proxy_at(int site) { return proxies_[site].get(); }
-  NattoCoordinator* coordinator_by_node(net::NodeId node);
-  NattoGateway* gateway_by_node(net::NodeId node);
-  NattoServer* server_by_txn_partition(int partition) {
-    return servers_[partition].get();
-  }
 
   /// Mean one-way delay between sites as measured server-side (completion
   /// estimates, Sec 3.3.1). Backed by the latency matrix averages, which is
@@ -393,28 +381,6 @@ class NattoEngine : public txn::TxnEngine {
   /// Aggregated server stats.
   NattoServer::Stats TotalStats() const;
 
-  /// First replication payload id (distinct range from the other engine
-  /// families so mixed-engine Raft logs stay readable).
-  static constexpr uint64_t kPayloadIdBase = 2'000'000'000ull;
-
-  /// Hands the next dense payload-id stripe to a proposing node (servers and
-  /// coordinators call this from their constructors, on the main thread).
-  /// Per-node striping replaces the old engine-wide `next_id++` counter,
-  /// which proposers on different site lanes would race on under the
-  /// site-parallel kernel. Must stay per-instance (not a process-wide
-  /// static): two engines in one process would otherwise share stripes.
-  raft::PayloadIdAllocator NewPayloadAllocator() {
-    return raft::PayloadIdAllocator(kPayloadIdBase, payload_stripes_++);
-  }
-
-  /// Stripes handed out so far (test hook for the isolation invariant).
-  uint32_t payload_stripes() const { return payload_stripes_; }
-
-  /// Total replication payload ids issued across this engine's proposers
-  /// (test hook: equal work on equal configs issues equal totals, and a
-  /// fresh engine always starts at zero).
-  uint64_t payload_ids_issued() const;
-
  private:
   txn::Cluster* cluster_;
   NattoOptions options_;
@@ -422,9 +388,6 @@ class NattoEngine : public txn::TxnEngine {
   std::vector<std::unique_ptr<net::Prober>> proxies_;
   std::vector<std::unique_ptr<NattoCoordinator>> coordinators_;
   std::vector<std::unique_ptr<NattoGateway>> gateways_;
-  std::unordered_map<net::NodeId, NattoCoordinator*> coord_by_node_;
-  std::unordered_map<net::NodeId, NattoGateway*> gateway_by_node_;
-  uint32_t payload_stripes_ = 0;
 };
 
 }  // namespace natto::core

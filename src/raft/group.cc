@@ -98,8 +98,7 @@ RaftReplica* RaftGroup::current_leader() {
   return l->crashed() ? nullptr : l;
 }
 
-void RaftGroup::Propose(PayloadId payload, sim::EventFn&& on_committed,
-                        FailFn&& on_failed) {
+void RaftGroup::Propose(sim::EventFn&& on_committed, FailFn&& on_failed) {
   RaftReplica* l = current_leader();
   if (l == nullptr) {
     on_failed(false);
@@ -108,17 +107,16 @@ void RaftGroup::Propose(PayloadId payload, sim::EventFn&& on_committed,
   if (propose_timeout_ <= 0) {
     // Fault-free fast path: no timer, no completion token — identical event
     // stream to proposing at the leader directly.
-    Status s = l->Propose(payload, std::move(on_committed));
+    Status s = l->Propose(std::move(on_committed));
     if (!s.ok()) on_failed(false);
     return;
   }
   auto done = std::make_shared<bool>(false);
-  Status s = l->Propose(
-      payload, [done, cb = std::move(on_committed)]() mutable {
-        if (*done) return;  // already timed out
-        *done = true;
-        cb();
-      });
+  Status s = l->Propose([done, cb = std::move(on_committed)]() mutable {
+    if (*done) return;  // already timed out
+    *done = true;
+    cb();
+  });
   if (!s.ok()) {
     on_failed(false);
     return;
@@ -131,22 +129,21 @@ void RaftGroup::Propose(PayloadId payload, sim::EventFn&& on_committed,
       });
 }
 
-void RaftGroup::ProposeWithRetry(PayloadId payload,
-                                 sim::EventFn&& on_committed) {
-  ProposeAttempt(payload, std::move(on_committed), kMaxCommitRetries);
+void RaftGroup::ProposeWithRetry(sim::EventFn&& on_committed) {
+  ProposeAttempt(std::move(on_committed), kMaxCommitRetries);
 }
 
-void RaftGroup::ProposeAttempt(PayloadId payload, sim::EventFn&& on_committed,
+void RaftGroup::ProposeAttempt(sim::EventFn&& on_committed,
                                int attempts_left) {
   if (propose_timeout_ <= 0) {
     // Fault-free: the leader either takes the callback or rejects the
     // proposal synchronously, leaving the callback here for the retry —
     // the same events Propose's synchronous on_failed(false) produces.
     RaftReplica* l = current_leader();
-    if (l != nullptr && l->Propose(payload, std::move(on_committed)).ok()) {
+    if (l != nullptr && l->Propose(std::move(on_committed)).ok()) {
       return;
     }
-    RetryLater(payload, std::move(on_committed), attempts_left);
+    RetryLater(std::move(on_committed), attempts_left);
     return;
   }
   // Failure handling armed: this attempt's commit and its timeout race for
@@ -154,24 +151,22 @@ void RaftGroup::ProposeAttempt(PayloadId payload, sim::EventFn&& on_committed,
   // commit of this one then finds it gone — so it fires at most once.
   auto cb = std::make_shared<sim::EventFn>(std::move(on_committed));
   Propose(
-      payload,
       [cb]() {
         if (*cb) (*cb)();
       },
-      [this, payload, cb, attempts_left](bool) {
-        RetryLater(payload, std::move(*cb), attempts_left);
+      [this, cb, attempts_left](bool) {
+        RetryLater(std::move(*cb), attempts_left);
       });
 }
 
-void RaftGroup::RetryLater(PayloadId payload, sim::EventFn&& on_committed,
-                           int attempts_left) {
+void RaftGroup::RetryLater(sim::EventFn&& on_committed, int attempts_left) {
   if (attempts_left <= 0) return;  // unrecoverable outage backstop
-  // The payload is opaque, so a duplicate log entry from a retry racing a
-  // slow commit is harmless.
+  // Entries carry no data, so a duplicate entry from a retry racing a slow
+  // commit is harmless.
   transport_->simulator()->ScheduleAfter(
       4 * options_.heartbeat_interval,
-      [this, payload, cb = std::move(on_committed), attempts_left]() mutable {
-        ProposeAttempt(payload, std::move(cb), attempts_left - 1);
+      [this, cb = std::move(on_committed), attempts_left]() mutable {
+        ProposeAttempt(std::move(cb), attempts_left - 1);
       });
 }
 

@@ -59,29 +59,26 @@ class RaftGroup {
   void EnableFailureHandling(SimDuration propose_timeout);
   bool failure_handling_enabled() const { return propose_timeout_ > 0; }
 
-  /// Replicates `payload` through the current leader. Exactly one callback
+  /// Replicates one entry through the current leader. Exactly one callback
   /// fires: `on_committed` once a majority has the entry, or
   /// `on_failed(timed_out)` — synchronously with timed_out=false when no
   /// live leader accepts the proposal, or later with timed_out=true when
   /// failure handling is armed and the accepting leader dies (or is
   /// deposed) before the entry commits.
-  void Propose(PayloadId payload, sim::EventFn&& on_committed,
-               FailFn&& on_failed);
+  void Propose(sim::EventFn&& on_committed, FailFn&& on_failed);
 
   /// Replicates a decision that must eventually become durable (commit
   /// records whose outcome was already reported): retries through leader
   /// changes until some leader commits it, then fires `on_committed` exactly
   /// once. Bounded by `kMaxCommitRetries` as an unrecoverable-outage
   /// backstop.
-  void ProposeWithRetry(PayloadId payload, sim::EventFn&& on_committed);
+  void ProposeWithRetry(sim::EventFn&& on_committed);
 
  private:
-  void ProposeAttempt(PayloadId payload, sim::EventFn&& on_committed,
-                      int attempts_left);
+  void ProposeAttempt(sim::EventFn&& on_committed, int attempts_left);
   /// Schedules the next ProposeAttempt after an election has had time to
   /// make progress (drops the callback once attempts run out).
-  void RetryLater(PayloadId payload, sim::EventFn&& on_committed,
-                  int attempts_left);
+  void RetryLater(sim::EventFn&& on_committed, int attempts_left);
 
   static constexpr int kMaxCommitRetries = 200;
 

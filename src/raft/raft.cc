@@ -64,11 +64,11 @@ void RaftReplica::SetCrashed(bool crashed) {
   }
 }
 
-Status RaftReplica::Propose(PayloadId payload, sim::EventFn&& on_committed) {
+Status RaftReplica::Propose(sim::EventFn&& on_committed) {
   if (crashed_ || role_ != Role::kLeader) {
     return Status::Unavailable("not the leader");
   }
-  log_.push_back(LogEntry{term_, payload});
+  log_.push_back(LogEntry{term_});
   uint64_t index = log_.size();
   // Both FIFOs stay sorted by index: entries above commit_index_ are
   // trimmed whenever leadership ends, and a log never shrinks below it.
@@ -574,7 +574,10 @@ void RaftReplica::ApplyCommitted() {
   }
   while (applied_index_ < commit_index_) {
     ++applied_index_;
-    if (on_apply_) on_apply_(log_[static_cast<size_t>(applied_index_) - 1].payload);
+    if (on_apply_) {
+      on_apply_(applied_index_,
+                log_[static_cast<size_t>(applied_index_) - 1].term);
+    }
   }
   // Fire leader-side completion callbacks for newly committed entries. The
   // callback is moved out and popped before it runs, so it may re-enter

@@ -14,39 +14,10 @@
 
 namespace natto::raft {
 
-/// Opaque payload handle replicated through the log; engines keep the actual
-/// data (prepare results, write data) keyed by this id.
-using PayloadId = uint64_t;
-
-/// Issues replication payload ids for one proposing node. Each allocator
-/// owns a disjoint stripe of its engine family's id space —
-/// `family_base + (stripe << 32) + seq` — so proposers on different site
-/// lanes allocate without touching a shared engine counter (an engine-wide
-/// `next_id++` would race across lanes under the site-parallel kernel and
-/// make id values depend on thread interleaving). Ids stay unique within an
-/// engine as long as each stripe issues fewer than 2^32 ids and the engine
-/// assigns stripes densely from 0. Ids are opaque to Raft and never
-/// iterated in id order, so the striped values are deterministic at any
-/// NATTO_SIM_THREADS: each node's seq depends only on its own event order.
-class PayloadIdAllocator {
- public:
-  PayloadIdAllocator() = default;
-  PayloadIdAllocator(uint64_t family_base, uint32_t stripe)
-      : base_(family_base + (static_cast<uint64_t>(stripe) << 32)) {}
-
-  PayloadId Next() { return base_ + issued_++; }
-
-  /// Ids handed out so far (test hook for the stripe-isolation invariant).
-  uint64_t issued() const { return issued_; }
-
- private:
-  uint64_t base_ = 0;
-  uint64_t issued_ = 0;
-};
-
+/// A log entry carries only its term: replication is a latency service, and
+/// each proposer keeps the replicated state in its commit callback.
 struct LogEntry {
   uint64_t term = 0;
-  PayloadId payload = 0;
 };
 
 /// A single Raft replica. All replicas of one partition form a group wired
@@ -127,16 +98,17 @@ class RaftReplica : public net::Node {
     on_became_leader_ = std::move(cb);
   }
 
-  /// Leader-only: appends `payload` to the log and replicates it;
+  /// Leader-only: appends an entry to the log and replicates it;
   /// `on_committed` fires on this node once a majority has the entry.
   /// Returns Unavailable if this replica is not the leader; the callback is
   /// then left untouched in the caller's hands (it is only moved from on
   /// success).
-  Status Propose(PayloadId payload, sim::EventFn&& on_committed);
+  Status Propose(sim::EventFn&& on_committed);
 
-  /// Fires for every payload as it commits on this replica (leader and
-  /// followers), in log order. Used by tests to check replica agreement.
-  void SetOnApply(std::function<void(PayloadId)> on_apply) {
+  /// Fires with (index, term) for every entry as it commits on this replica
+  /// (leader and followers), in log order. Used by tests to check replica
+  /// agreement.
+  void SetOnApply(std::function<void(uint64_t, uint64_t)> on_apply) {
     on_apply_ = std::move(on_apply);
   }
 
@@ -240,7 +212,7 @@ class RaftReplica : public net::Node {
   // ApplyCommitted pops committed entries off the front, and losing
   // leadership trims uncommitted ones off the back.
   std::deque<std::pair<uint64_t, sim::EventFn>> pending_callbacks_;
-  std::function<void(PayloadId)> on_apply_;
+  std::function<void(uint64_t, uint64_t)> on_apply_;
   std::function<void(RaftReplica*)> on_became_leader_;
 
   obs::Histogram* entries_per_append_metric_ = nullptr;

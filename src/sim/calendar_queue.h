@@ -75,8 +75,12 @@ class CalendarQueue {
   bool empty() const { return size_ == 0; }
 
   /// Inserts an event. `t` must be >= the time of the last popped event
-  /// (the simulator clamps to Now() first) and `seq` strictly larger than
-  /// every previously pushed seq.
+  /// (the simulator clamps to Now() first), and among pending events with
+  /// equal time, push order must be seq order: the ring keeps equal-time
+  /// events in push order and the overflow heap in seq order. Seqs need not
+  /// grow across pushes otherwise — the site-parallel kernel pushes
+  /// provisional seqs (high bit set) that all fire inside their window,
+  /// then smaller canonical seqs at the barrier.
   void Push(SimTime t, uint64_t seq, EventFn&& fn,
             uint64_t parent_seq = ~uint64_t{0}) {
     EventNode* n = AllocNode();

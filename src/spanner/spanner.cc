@@ -26,7 +26,6 @@ SpannerServer::SpannerServer(SpannerEngine* engine, int partition, int site,
     : net::Node(engine->cluster()->transport(), site, clock),
       engine_(engine),
       partition_(partition),
-      payload_ids_(engine->NewPayloadAllocator()),
       kv_(engine->cluster()->options().default_value) {
   obs::MetricsRegistry* m = engine->cluster()->metrics();
   const std::string prefix = "spanner.p" + std::to_string(partition) + ".";
@@ -182,9 +181,8 @@ void SpannerServer::WoundLocal(TxnId victim) {
   // Lock release happens when the abort message comes back (this WAN round
   // trip is exactly the "distributed preemption" cost the paper's intro
   // calls out, and what makes Natto's local priority abort cheaper).
-  SpannerTxnMeta meta = it->second.meta;
-  auto* co = engine_->coordinator_by_node(meta.coordinator);
-  SendTo(meta.coordinator, kMessageHeaderBytes,
+  auto* co = engine_->coordinator_at(it->second.meta.origin_site);
+  SendTo(co->id(), kMessageHeaderBytes,
          [co, victim]() { co->HandleWound(victim); });
 }
 
@@ -203,9 +201,9 @@ void SpannerServer::ServeReads(TxnId id) {
     store::VersionedValue v = kv_.Get(k);
     results.push_back(txn::ReadResult{k, v.value, v.version});
   }
-  auto* gw = engine_->gateway_by_node(lt.meta.client);
+  auto* gw = engine_->gateway_at(lt.meta.origin_site);
   int partition = partition_;
-  SendTo(lt.meta.client, WireKvBytes(results.size()),
+  SendTo(gw->id(), WireKvBytes(results.size()),
          [gw, id, partition, results]() {
            gw->HandleReadResults(id, partition, results);
          });
@@ -216,10 +214,10 @@ void SpannerServer::HandlePrepare(const SpannerTxnMeta& meta,
   if (finished_.contains(meta.id)) {
     // Wounded before the prepare arrived: vote no.
     stale_vote_no_->Inc();
-    auto* co = engine_->coordinator_by_node(meta.coordinator);
+    auto* co = engine_->coordinator_at(meta.origin_site);
     int partition = partition_;
     TxnId id = meta.id;
-    SendTo(meta.coordinator, kMessageHeaderBytes, [co, id, partition]() {
+    SendTo(co->id(), kMessageHeaderBytes, [co, id, partition]() {
       co->HandleVote(id, partition, /*ok=*/false, obs::AbortCause::kWound);
     });
     return;
@@ -243,13 +241,13 @@ void SpannerServer::FinishPrepare(TxnId id) {
   auto it = txns_.find(id);
   if (it == txns_.end()) return;
   LocalTxn& lt = it->second;
-  auto vote = [this, id, coord = lt.meta.coordinator]() {
+  auto* co = engine_->coordinator_at(lt.meta.origin_site);
+  auto vote = [this, id, co]() {
     if (obs::Tracer* tr = engine_->cluster()->tracer()) {
       tr->SpanEnd(id, "prepare", partition_, TrueNow());
     }
-    auto* co = engine_->coordinator_by_node(coord);
     int partition = partition_;
-    SendTo(coord, kMessageHeaderBytes, [co, id, partition]() {
+    SendTo(co->id(), kMessageHeaderBytes, [co, id, partition]() {
       co->HandleVote(id, partition, /*ok=*/true);
     });
   };
@@ -260,18 +258,16 @@ void SpannerServer::FinishPrepare(TxnId id) {
     return;
   }
   engine_->cluster()->group(partition_)->Propose(
-      payload_ids_.Next(), vote,
-      [this, id, coord = lt.meta.coordinator](bool timed_out) {
+      vote, [this, id, co](bool timed_out) {
         // Prepare record lost to a leader failure: vote no and let the
         // coordinator's abort clean up our lock/txn state.
         if (obs::Tracer* tr = engine_->cluster()->tracer()) {
           tr->SpanEnd(id, "prepare", partition_, TrueNow());
         }
-        auto* co = engine_->coordinator_by_node(coord);
         int partition = partition_;
         obs::AbortCause cause = timed_out ? obs::AbortCause::kLeaderFailover
                                           : obs::AbortCause::kReplicationFailed;
-        SendTo(coord, kMessageHeaderBytes, [co, id, partition, cause]() {
+        SendTo(co->id(), kMessageHeaderBytes, [co, id, partition, cause]() {
           co->HandleVote(id, partition, /*ok=*/false, cause);
         });
       });
@@ -289,7 +285,7 @@ void SpannerServer::HandleCommit(TxnId id) {
   // The decision is already fixed, so the commit record must eventually
   // replicate even across leader changes.
   engine_->cluster()->group(partition_)->ProposeWithRetry(
-      payload_ids_.Next(), [this, id]() {
+      [this, id]() {
         auto it2 = txns_.find(id);
         if (it2 == txns_.end()) return;
         for (const auto& [k, v] : it2->second.writes) kv_.Apply(k, v, id);
@@ -312,8 +308,7 @@ void SpannerServer::HandleAbort(TxnId id) {
 SpannerCoordinator::SpannerCoordinator(SpannerEngine* engine, int site,
                                        sim::NodeClock clock)
     : net::Node(engine->cluster()->transport(), site, clock),
-      engine_(engine),
-      payload_ids_(engine->NewPayloadAllocator()) {
+      engine_(engine) {
   obs::MetricsRegistry* m = engine->cluster()->metrics();
   const std::string prefix = "spanner.coord.s" + std::to_string(site) + ".";
   wounds_received_ = m->GetCounter(prefix + "wounds_received");
@@ -435,7 +430,6 @@ void SpannerCoordinator::MaybeCommit(TxnId id) {
   int local_partition = engine_->cluster()->topology().PartitionLedAt(site());
   NATTO_CHECK(local_partition >= 0);
   engine_->cluster()->group(local_partition)->Propose(
-      payload_ids_.Next(),
       [this, id]() {
         auto it2 = txns_.find(id);
         if (it2 == txns_.end()) return;
@@ -463,12 +457,12 @@ void SpannerCoordinator::Decide(TxnId id, bool commit,
     tr->Instant(id, commit ? "decide_commit" : "decide_abort", -1, TrueNow());
   }
 
-  auto* gw = engine_->gateway_by_node(st.meta.client);
+  auto* gw = engine_->gateway_at(st.meta.origin_site);
   txn::TxnOutcome outcome =
       commit ? txn::TxnOutcome::kCommitted
              : (st.user_abort ? txn::TxnOutcome::kUserAborted
                               : txn::TxnOutcome::kAborted);
-  SendTo(st.meta.client, kMessageHeaderBytes,
+  SendTo(gw->id(), kMessageHeaderBytes,
          [gw, id, outcome, reason, cause]() {
            gw->HandleDecision(id, outcome, reason, cause);
          });
@@ -507,8 +501,7 @@ void SpannerGateway::StartTxn(const txn::TxnRequest& request,
   meta.id = request.id;
   meta.priority = request.priority;
   meta.ts = LocalNow();
-  meta.coordinator = coord->id();
-  meta.client = id();
+  meta.origin_site = site();
 
   std::vector<int> participants =
       topo.Participants(request.read_set, request.write_set);
@@ -519,19 +512,15 @@ void SpannerGateway::StartTxn(const txn::TxnRequest& request,
     tr->SpanBegin(request.id, "round1", /*partition=*/-1, TrueNow());
   }
 
-  ClientTxn st;
-  st.request = request;
-  st.done = std::move(done);
-  st.awaiting_reads.insert(read_partitions.begin(), read_partitions.end());
-  TxnId id = request.id;
-  txns_[id] = std::move(st);
+  auto slot = txns_.insert_or_assign(
+      request.id, txn::ClientTxn(request, std::move(done), read_partitions));
 
   SendTo(coord->id(), kMessageHeaderBytes, [coord, meta, participants]() {
     coord->HandleBegin(meta, participants);
   });
 
   if (read_partitions.empty()) {
-    MaybeFinishRound1(id);
+    FinishRound1(slot.first->second);
     return;
   }
   for (int p : read_partitions) {
@@ -546,30 +535,16 @@ void SpannerGateway::HandleReadResults(TxnId id, int partition,
                                        std::vector<txn::ReadResult> reads) {
   auto it = txns_.find(id);
   if (it == txns_.end()) return;
-  ClientTxn& st = it->second;
-  if (st.awaiting_reads.erase(partition) == 0) return;
-  for (const txn::ReadResult& r : reads) st.reads[r.key] = r;
-  MaybeFinishRound1(id);
+  if (it->second.TakeReads(partition, reads)) FinishRound1(it->second);
 }
 
-void SpannerGateway::MaybeFinishRound1(TxnId id) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  ClientTxn& st = it->second;
-  if (!st.awaiting_reads.empty() || st.sent_round2) return;
-  st.sent_round2 = true;
+void SpannerGateway::FinishRound1(txn::ClientTxn& st) {
+  TxnId id = st.request.id;
   if (obs::Tracer* tr = engine_->cluster()->tracer()) {
     tr->SpanEnd(id, "round1", /*partition=*/-1, TrueNow());
   }
 
-  std::vector<txn::ReadResult> ordered;
-  ordered.reserve(st.request.read_set.size());
-  for (Key k : st.request.read_set) {
-    auto r = st.reads.find(k);
-    NATTO_CHECK(r != st.reads.end());
-    ordered.push_back(r->second);
-  }
-  txn::WriteDecision d = st.request.compute_writes(ordered);
+  txn::WriteDecision d = st.request.compute_writes(st.ReadsInOrder());
   auto* coord = engine_->coordinator_at(site());
   if (d.user_abort) {
     SendTo(coord->id(), kMessageHeaderBytes, [coord, id]() {
@@ -590,30 +565,10 @@ void SpannerGateway::HandleDecision(TxnId id, txn::TxnOutcome outcome,
                                     obs::AbortCause cause) {
   auto it = txns_.find(id);
   if (it == txns_.end()) return;
-  ClientTxn st = std::move(it->second);
+  txn::ClientTxn st = std::move(it->second);
   txns_.erase(it);
-
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    const char* name = outcome == txn::TxnOutcome::kCommitted ? "committed"
-                       : outcome == txn::TxnOutcome::kUserAborted
-                           ? "user_aborted"
-                           : "aborted";
-    tr->TxnEnd(id, name, cause, TrueNow());
-  }
-
-  txn::TxnResult result;
-  result.outcome = outcome;
-  result.abort_reason = std::move(reason);
-  result.abort_cause =
-      outcome == txn::TxnOutcome::kCommitted ? obs::AbortCause::kNone : cause;
-  if (outcome == txn::TxnOutcome::kCommitted) {
-    for (Key k : st.request.read_set) {
-      auto r = st.reads.find(k);
-      if (r != st.reads.end()) result.reads.push_back(r->second);
-    }
-    result.writes = st.writes;
-  }
-  st.done(result);
+  st.Report(engine_->cluster()->tracer(), TrueNow(), outcome,
+            std::move(reason), cause);
 }
 
 // ---------------------------------------------------------------------------
@@ -633,8 +588,6 @@ SpannerEngine::SpannerEngine(txn::Cluster* cluster, SpannerOptions options)
     gateways_.push_back(
         std::make_unique<SpannerGateway>(this, s, cluster_->MakeClock()));
   }
-  for (auto& c : coordinators_) coord_by_node_[c->id()] = c.get();
-  for (auto& g : gateways_) gateway_by_node_[g->id()] = g.get();
 }
 
 void SpannerEngine::Execute(const txn::TxnRequest& request,
@@ -656,28 +609,9 @@ std::string SpannerEngine::name() const {
   return "2PL+2PC";
 }
 
-SpannerCoordinator* SpannerEngine::coordinator_by_node(net::NodeId node) {
-  auto it = coord_by_node_.find(node);
-  NATTO_CHECK(it != coord_by_node_.end());
-  return it->second;
-}
-
-SpannerGateway* SpannerEngine::gateway_by_node(net::NodeId node) {
-  auto it = gateway_by_node_.find(node);
-  NATTO_CHECK(it != gateway_by_node_.end());
-  return it->second;
-}
-
 Value SpannerEngine::DebugValue(Key key) {
   int p = cluster_->topology().PartitionOfKey(key);
   return servers_[p]->kv()->Get(key).value;
-}
-
-uint64_t SpannerEngine::payload_ids_issued() const {
-  uint64_t total = 0;
-  for (const auto& s : servers_) total += s->payload_ids_.issued();
-  for (const auto& c : coordinators_) total += c->payload_ids_.issued();
-  return total;
 }
 
 }  // namespace natto::spanner

@@ -11,9 +11,9 @@
 #include "net/node.h"
 #include "obs/abort_cause.h"
 #include "obs/metrics.h"
-#include "raft/raft.h"
 #include "store/kv_store.h"
 #include "store/lock_table.h"
+#include "txn/client_txn.h"
 #include "txn/cluster.h"
 #include "txn/transaction.h"
 
@@ -46,8 +46,7 @@ struct SpannerTxnMeta {
   TxnId id = 0;
   txn::Priority priority = txn::Priority::kLow;
   SimTime ts = 0;  // wound-wait age (client-assigned start timestamp)
-  net::NodeId coordinator = -1;
-  net::NodeId client = -1;
+  int origin_site = 0;  // names the client's gateway and coordinator
 };
 
 /// Partition leader: sequential read-lock phase, 2PC prepare with exclusive
@@ -68,8 +67,6 @@ class SpannerServer : public net::Node {
   const store::LockTable& locks() const { return locks_; }
 
  private:
-  friend class SpannerEngine;
-
   struct LocalTxn {
     SpannerTxnMeta meta;
     int outstanding_grants = 0;
@@ -102,7 +99,6 @@ class SpannerServer : public net::Node {
 
   SpannerEngine* engine_;
   int partition_;
-  raft::PayloadIdAllocator payload_ids_;
   store::KvStore kv_;
   store::LockTable locks_;
   std::unordered_map<TxnId, LocalTxn> txns_;
@@ -129,8 +125,6 @@ class SpannerCoordinator : public net::Node {
   void HandleWound(TxnId id);
 
  private:
-  friend class SpannerEngine;
-
   struct TxnState {
     SpannerTxnMeta meta;
     /// Messages can overtake HandleBegin under network jitter; state is
@@ -155,7 +149,6 @@ class SpannerCoordinator : public net::Node {
               obs::AbortCause cause);
 
   SpannerEngine* engine_;
-  raft::PayloadIdAllocator payload_ids_;
   std::unordered_map<TxnId, TxnState> txns_;
   std::unordered_set<TxnId> early_wounds_;
   FlatSet decided_;
@@ -178,19 +171,12 @@ class SpannerGateway : public net::Node {
                       obs::AbortCause cause = obs::AbortCause::kNone);
 
  private:
-  struct ClientTxn {
-    txn::TxnRequest request;
-    txn::TxnCallback done;
-    std::unordered_set<int> awaiting_reads;
-    std::unordered_map<Key, txn::ReadResult> reads;
-    std::vector<std::pair<Key, Value>> writes;
-    bool sent_round2 = false;
-  };
-
-  void MaybeFinishRound1(TxnId id);
+  /// Runs the write computation once every read partition has answered
+  /// and sends round 2 to the coordinator.
+  void FinishRound1(txn::ClientTxn& st);
 
   SpannerEngine* engine_;
-  std::unordered_map<TxnId, ClientTxn> txns_;
+  std::unordered_map<TxnId, txn::ClientTxn> txns_;
 };
 
 /// Spanner-like 2PL+2PC baseline (sequential reads, 2PC, replication) with
@@ -206,36 +192,14 @@ class SpannerEngine : public txn::TxnEngine {
   const SpannerOptions& options() const { return options_; }
 
   SpannerServer* server(int partition) { return servers_[partition].get(); }
+  /// The coordinator and gateway serving clients at `site`. Wire records
+  /// name a transaction's origin site; replies find these through it.
   SpannerCoordinator* coordinator_at(int site) {
     return coordinators_[site].get();
   }
   SpannerGateway* gateway_at(int site) { return gateways_[site].get(); }
-  SpannerCoordinator* coordinator_by_node(net::NodeId node);
-  SpannerGateway* gateway_by_node(net::NodeId node);
 
   Value DebugValue(Key key) override;
-
-  /// First replication payload id (distinct range from the other engine
-  /// families so mixed-engine Raft logs stay readable).
-  static constexpr uint64_t kPayloadIdBase = 1'000'000'000ull;
-
-  /// Hands the next dense payload-id stripe to a proposing node (servers
-  /// and coordinators call this from their constructors, on the main
-  /// thread). Per-node striping replaces the old engine-wide `next_id++`
-  /// counter, which proposers on different site lanes would race on under
-  /// the site-parallel kernel. Must stay per-instance (not a process-wide
-  /// static): two engines in one process would otherwise share stripes.
-  raft::PayloadIdAllocator NewPayloadAllocator() {
-    return raft::PayloadIdAllocator(kPayloadIdBase, payload_stripes_++);
-  }
-
-  /// Stripes handed out so far (test hook for the isolation invariant).
-  uint32_t payload_stripes() const { return payload_stripes_; }
-
-  /// Total replication payload ids issued across this engine's proposers
-  /// (test hook: equal work on equal configs issues equal totals, and a
-  /// fresh engine always starts at zero).
-  uint64_t payload_ids_issued() const;
 
  private:
   txn::Cluster* cluster_;
@@ -243,9 +207,6 @@ class SpannerEngine : public txn::TxnEngine {
   std::vector<std::unique_ptr<SpannerServer>> servers_;
   std::vector<std::unique_ptr<SpannerCoordinator>> coordinators_;
   std::vector<std::unique_ptr<SpannerGateway>> gateways_;
-  std::unordered_map<net::NodeId, SpannerCoordinator*> coord_by_node_;
-  std::unordered_map<net::NodeId, SpannerGateway*> gateway_by_node_;
-  uint32_t payload_stripes_ = 0;
 };
 
 }  // namespace natto::spanner

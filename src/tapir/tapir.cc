@@ -25,16 +25,19 @@ TapirReplica::TapirReplica(TapirEngine* engine, int partition, int replica,
 }
 
 void TapirReplica::HandleGet(TxnId id, std::vector<Key> keys,
-                             net::NodeId reply_to) {
+                             int origin_site) {
   std::vector<txn::ReadResult> results;
   results.reserve(keys.size());
   for (Key k : keys) {
     store::VersionedValue v = kv_.Get(k);
     results.push_back(txn::ReadResult{k, v.value, v.version});
   }
-  auto* gw = engine_->gateway_by_node(reply_to);
-  SendTo(reply_to, WireKvBytes(results.size()),
-         [gw, id, results]() { gw->HandleReadReply(id, results); });
+  auto* gw = engine_->gateway_at(origin_site);
+  int partition = partition_;
+  SendTo(gw->id(), WireKvBytes(results.size()),
+         [gw, id, partition, results]() {
+           gw->HandleReadReply(id, partition, results);
+         });
 }
 
 bool TapirReplica::Validates(
@@ -52,7 +55,7 @@ bool TapirReplica::Validates(
 
 void TapirReplica::HandlePrepare(
     TxnId id, std::vector<std::pair<Key, uint64_t>> read_versions,
-    std::vector<Key> write_keys, net::NodeId reply_to) {
+    std::vector<Key> write_keys, int origin_site) {
   bool ok = !finished_.contains(id) && Validates(read_versions, write_keys);
   // A single no vote is not an abort (a prepare majority may still form),
   // so the cause travels with the vote and is attributed only when the
@@ -69,10 +72,10 @@ void TapirReplica::HandlePrepare(
     for (const auto& [k, v] : read_versions) read_keys.push_back(k);
     prepared_.Add(id, read_keys, write_keys);
   }
-  auto* gw = engine_->gateway_by_node(reply_to);
+  auto* gw = engine_->gateway_at(origin_site);
   int partition = partition_;
   int replica = replica_;
-  SendTo(reply_to, kMessageHeaderBytes,
+  SendTo(gw->id(), kMessageHeaderBytes,
          [gw, id, partition, replica, ok, cause]() {
            gw->HandlePrepareVote(id, partition, replica, ok, cause);
          });
@@ -80,7 +83,7 @@ void TapirReplica::HandlePrepare(
 
 void TapirReplica::HandleFinalizePrepare(
     TxnId id, std::vector<std::pair<Key, uint64_t>> read_versions,
-    std::vector<Key> write_keys, net::NodeId reply_to) {
+    std::vector<Key> write_keys, int origin_site) {
   // Adopt the majority decision even if local validation said no
   // (inconsistent replication: the consensus result overrides).
   if (!finished_.contains(id) && !prepared_.Contains(id)) {
@@ -89,10 +92,10 @@ void TapirReplica::HandleFinalizePrepare(
     for (const auto& [k, v] : read_versions) read_keys.push_back(k);
     prepared_.Add(id, read_keys, write_keys);
   }
-  auto* gw = engine_->gateway_by_node(reply_to);
+  auto* gw = engine_->gateway_at(origin_site);
   int partition = partition_;
   int replica = replica_;
-  SendTo(reply_to, kMessageHeaderBytes, [gw, id, partition, replica]() {
+  SendTo(gw->id(), kMessageHeaderBytes, [gw, id, partition, replica]() {
     gw->HandleFinalizeAck(id, partition, replica);
   });
 }
@@ -131,20 +134,17 @@ void TapirGateway::StartTxn(const txn::TxnRequest& request,
     tr->TxnBegin(request.id, txn::PriorityLevel(request.priority), TrueNow());
     tr->SpanBegin(request.id, "round1", /*partition=*/-1, TrueNow());
   }
-  ClientTxn st;
-  st.request = request;
-  st.done = std::move(done);
-  st.participants = topo.Participants(request.read_set, request.write_set);
-
   // Read round: nearest replica of each partition holding read keys.
   std::vector<int> read_partitions = topo.Participants(request.read_set, {});
-  st.reads_outstanding = read_partitions.size();
   TxnId id = request.id;
-  txns_[id] = std::move(st);
+  auto slot = txns_.insert_or_assign(
+      id, TxnState(request, std::move(done), read_partitions));
+  TxnState& st = slot.first->second;
+  st.participants = topo.Participants(request.read_set, request.write_set);
 
   if (read_partitions.empty()) {
     // Write-only transaction: go straight to the write computation.
-    HandleReadReply(id, {});
+    StartPrepareRound(st);
     return;
   }
   for (int p : read_partitions) {
@@ -152,50 +152,35 @@ void TapirGateway::StartTxn(const txn::TxnRequest& request,
     int r = engine_->NearestReplica(p, site());
     auto* rep = engine_->replica(p, r);
     SendTo(rep->id(), WireKeysBytes(keys.size()),
-           [rep, id, keys, reply = this->id()]() {
-             rep->HandleGet(id, keys, reply);
+           [rep, id, keys, origin = site()]() {
+             rep->HandleGet(id, keys, origin);
            });
   }
 }
 
-void TapirGateway::HandleReadReply(TxnId id,
+void TapirGateway::HandleReadReply(TxnId id, int partition,
                                    std::vector<txn::ReadResult> reads) {
   auto it = txns_.find(id);
   if (it == txns_.end()) return;
-  ClientTxn& st = it->second;
-  for (const txn::ReadResult& r : reads) st.reads[r.key] = r;
-  if (st.reads_outstanding > 0) --st.reads_outstanding;
-  if (st.reads_outstanding == 0 && !st.prepare_sent) StartPrepareRound(id);
+  if (it->second.TakeReads(partition, reads)) StartPrepareRound(it->second);
 }
 
-void TapirGateway::StartPrepareRound(TxnId id) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  ClientTxn& st = it->second;
-  st.prepare_sent = true;
+void TapirGateway::StartPrepareRound(TxnState& st) {
+  TxnId id = st.request.id;
   if (obs::Tracer* tr = engine_->cluster()->tracer()) {
     tr->SpanEnd(id, "round1", /*partition=*/-1, TrueNow());
   }
 
-  std::vector<txn::ReadResult> ordered;
-  ordered.reserve(st.request.read_set.size());
-  for (Key k : st.request.read_set) {
-    auto r = st.reads.find(k);
-    NATTO_CHECK(r != st.reads.end());
-    ordered.push_back(r->second);
-  }
-  txn::WriteDecision d = st.request.compute_writes(ordered);
+  txn::WriteDecision d = st.request.compute_writes(st.ReadsInOrder());
   if (d.user_abort) {
     if (obs::Tracer* tr = engine_->cluster()->tracer()) {
       tr->AttributeAbort(id, obs::AbortCause::kUserAbort);
-      tr->TxnEnd(id, "user_aborted", obs::AbortCause::kUserAbort, TrueNow());
     }
-    txn::TxnResult result;
-    result.outcome = txn::TxnOutcome::kUserAborted;
-    result.abort_cause = obs::AbortCause::kUserAbort;
-    auto done = std::move(st.done);
-    txns_.erase(it);
-    done(result);
+    TxnState aborted = std::move(st);
+    txns_.erase(id);
+    aborted.Report(engine_->cluster()->tracer(), TrueNow(),
+                   txn::TxnOutcome::kUserAborted, "",
+                   obs::AbortCause::kUserAbort);
     return;
   }
   st.writes = std::move(d.writes);
@@ -206,7 +191,7 @@ void TapirGateway::StartPrepareRound(TxnId id) {
     // Per-partition footprint for validation.
     std::vector<std::pair<Key, uint64_t>> read_versions;
     for (Key k : topo.LocalKeys(st.request.read_set, p)) {
-      read_versions.emplace_back(k, st.reads[k].version);
+      read_versions.emplace_back(k, st.ReadOf(k).version);
     }
     std::vector<Key> write_keys = topo.LocalKeys(st.request.write_set, p);
     size_t bytes = WireKeysBytes(read_versions.size() + write_keys.size());
@@ -216,8 +201,8 @@ void TapirGateway::StartPrepareRound(TxnId id) {
     for (int r = 0; r < topo.num_replicas(); ++r) {
       auto* rep = engine_->replica(p, r);
       SendTo(rep->id(), bytes,
-             [rep, id, read_versions, write_keys, reply = this->id()]() {
-               rep->HandlePrepare(id, read_versions, write_keys, reply);
+             [rep, id, read_versions, write_keys, origin = site()]() {
+               rep->HandlePrepare(id, read_versions, write_keys, origin);
              });
     }
   }
@@ -228,7 +213,7 @@ void TapirGateway::HandlePrepareVote(TxnId id, int partition, int replica,
   (void)replica;
   auto it = txns_.find(id);
   if (it == txns_.end()) return;
-  ClientTxn& st = it->second;
+  TxnState& st = it->second;
   auto p = st.partitions.find(partition);
   if (p == st.partitions.end()) return;
   PartitionState& ps = p->second;
@@ -245,7 +230,7 @@ void TapirGateway::HandlePrepareVote(TxnId id, int partition, int replica,
 void TapirGateway::OnPartitionUpdate(TxnId id, int partition) {
   auto it = txns_.find(id);
   if (it == txns_.end()) return;
-  ClientTxn& st = it->second;
+  TxnState& st = it->second;
   PartitionState& ps = st.partitions[partition];
   const txn::Topology& topo = engine_->cluster()->topology();
   int n = topo.num_replicas();
@@ -273,7 +258,7 @@ void TapirGateway::OnPartitionUpdate(TxnId id, int partition) {
       }
       std::vector<std::pair<Key, uint64_t>> read_versions;
       for (Key k : topo.LocalKeys(st.request.read_set, partition)) {
-        read_versions.emplace_back(k, st.reads[k].version);
+        read_versions.emplace_back(k, st.ReadOf(k).version);
       }
       std::vector<Key> write_keys =
           topo.LocalKeys(st.request.write_set, partition);
@@ -281,8 +266,8 @@ void TapirGateway::OnPartitionUpdate(TxnId id, int partition) {
       for (int r = 0; r < n; ++r) {
         auto* rep = engine_->replica(partition, r);
         SendTo(rep->id(), bytes, [rep, id, read_versions, write_keys,
-                                  reply = this->id()]() {
-          rep->HandleFinalizePrepare(id, read_versions, write_keys, reply);
+                                  origin = site()]() {
+          rep->HandleFinalizePrepare(id, read_versions, write_keys, origin);
         });
       }
     }
@@ -294,7 +279,7 @@ void TapirGateway::HandleFinalizeAck(TxnId id, int partition, int replica) {
   (void)replica;
   auto it = txns_.find(id);
   if (it == txns_.end()) return;
-  ClientTxn& st = it->second;
+  TxnState& st = it->second;
   auto p = st.partitions.find(partition);
   if (p == st.partitions.end()) return;
   PartitionState& ps = p->second;
@@ -313,8 +298,7 @@ void TapirGateway::HandleFinalizeAck(TxnId id, int partition, int replica) {
 void TapirGateway::MaybeDecide(TxnId id) {
   auto it = txns_.find(id);
   if (it == txns_.end()) return;
-  ClientTxn& st = it->second;
-  if (st.decided) return;
+  TxnState& st = it->second;
   bool all_ok = true;
   for (int p : st.participants) {
     PartitionPhase phase = st.partitions[p].phase;
@@ -334,14 +318,13 @@ void TapirGateway::Decide(TxnId id, bool commit, const std::string& reason,
                           obs::AbortCause cause) {
   auto it = txns_.find(id);
   if (it == txns_.end()) return;
-  ClientTxn st = std::move(it->second);
+  TxnState st = std::move(it->second);
   txns_.erase(it);
 
   (commit ? commits_ : aborts_)->Inc();
   if (obs::Tracer* tr = engine_->cluster()->tracer()) {
     tr->Instant(id, commit ? "decide_commit" : "decide_abort", -1, TrueNow());
     if (!commit) tr->AttributeAbort(id, cause);
-    tr->TxnEnd(id, commit ? "committed" : "aborted", cause, TrueNow());
   }
 
   const txn::Topology& topo = engine_->cluster()->topology();
@@ -363,19 +346,9 @@ void TapirGateway::Decide(TxnId id, bool commit, const std::string& reason,
   // batching is off.
   transport()->Flush();
 
-  txn::TxnResult result;
-  result.outcome =
-      commit ? txn::TxnOutcome::kCommitted : txn::TxnOutcome::kAborted;
-  result.abort_reason = reason;
-  result.abort_cause = commit ? obs::AbortCause::kNone : cause;
-  if (commit) {
-    for (Key k : st.request.read_set) {
-      auto r = st.reads.find(k);
-      if (r != st.reads.end()) result.reads.push_back(r->second);
-    }
-    result.writes = st.writes;
-  }
-  st.done(result);
+  st.Report(engine_->cluster()->tracer(), TrueNow(),
+            commit ? txn::TxnOutcome::kCommitted : txn::TxnOutcome::kAborted,
+            reason, cause);
 }
 
 // ---------------------------------------------------------------------------
@@ -395,7 +368,6 @@ TapirEngine::TapirEngine(txn::Cluster* cluster) : cluster_(cluster) {
     gateways_.push_back(
         std::make_unique<TapirGateway>(this, s, cluster_->MakeClock()));
   }
-  for (auto& g : gateways_) gateway_by_node_[g->id()] = g.get();
 }
 
 void TapirEngine::Execute(const txn::TxnRequest& request,
@@ -403,12 +375,6 @@ void TapirEngine::Execute(const txn::TxnRequest& request,
   NATTO_CHECK(request.origin_site >= 0 &&
               request.origin_site < static_cast<int>(gateways_.size()));
   gateways_[request.origin_site]->StartTxn(request, std::move(done));
-}
-
-TapirGateway* TapirEngine::gateway_by_node(net::NodeId node) {
-  auto it = gateway_by_node_.find(node);
-  NATTO_CHECK(it != gateway_by_node_.end());
-  return it->second;
 }
 
 int TapirEngine::NearestReplica(int partition, int site) const {

@@ -12,6 +12,7 @@
 #include "obs/metrics.h"
 #include "store/kv_store.h"
 #include "store/prepared_set.h"
+#include "txn/client_txn.h"
 #include "txn/cluster.h"
 #include "txn/transaction.h"
 
@@ -27,19 +28,19 @@ class TapirReplica : public net::Node {
   TapirReplica(TapirEngine* engine, int partition, int replica, int site,
                sim::NodeClock clock);
 
-  void HandleGet(TxnId id, std::vector<Key> keys, net::NodeId reply_to);
+  /// Every request names the client's site, whose gateway gets the reply.
+  void HandleGet(TxnId id, std::vector<Key> keys, int origin_site);
 
   /// OCC validation vote. `read_versions` are the versions the client read;
   /// a replica votes no on stale reads or conflicts with prepared txns.
   void HandlePrepare(TxnId id,
                      std::vector<std::pair<Key, uint64_t>> read_versions,
-                     std::vector<Key> write_keys, net::NodeId reply_to);
+                     std::vector<Key> write_keys, int origin_site);
 
   /// Slow-path consensus: adopt the majority prepare decision.
   void HandleFinalizePrepare(TxnId id,
                              std::vector<std::pair<Key, uint64_t>> read_versions,
-                             std::vector<Key> write_keys,
-                             net::NodeId reply_to);
+                             std::vector<Key> write_keys, int origin_site);
 
   void HandleCommit(TxnId id, std::vector<std::pair<Key, Value>> writes);
   void HandleAbort(TxnId id);
@@ -74,7 +75,8 @@ class TapirGateway : public net::Node {
 
   void StartTxn(const txn::TxnRequest& request, txn::TxnCallback done);
 
-  void HandleReadReply(TxnId id, std::vector<txn::ReadResult> reads);
+  void HandleReadReply(TxnId id, int partition,
+                       std::vector<txn::ReadResult> reads);
   /// No votes carry the refusing replica's abort cause for attribution.
   void HandlePrepareVote(TxnId id, int partition, int replica, bool ok,
                          obs::AbortCause cause = obs::AbortCause::kNone);
@@ -90,28 +92,25 @@ class TapirGateway : public net::Node {
     int finalize_acks = 0;
   };
 
-  struct ClientTxn {
-    txn::TxnRequest request;
-    txn::TxnCallback done;
+  /// The client-side record plus TAPIR's per-partition prepare state.
+  struct TxnState : txn::ClientTxn {
+    using txn::ClientTxn::ClientTxn;
     std::vector<int> participants;
-    size_t reads_outstanding = 0;
-    std::unordered_map<Key, txn::ReadResult> reads;
-    std::vector<std::pair<Key, Value>> writes;
     std::unordered_map<int, PartitionState> partitions;
-    bool prepare_sent = false;
-    bool decided = false;
     /// Cause of the first failed vote (first-wins; kNone until a no vote).
     obs::AbortCause fail_cause = obs::AbortCause::kNone;
   };
 
-  void StartPrepareRound(TxnId id);
+  /// Runs the write computation once every read partition has answered
+  /// and sends the prepares (or reports a user abort).
+  void StartPrepareRound(TxnState& st);
   void OnPartitionUpdate(TxnId id, int partition);
   void MaybeDecide(TxnId id);
   void Decide(TxnId id, bool commit, const std::string& reason,
               obs::AbortCause cause);
 
   TapirEngine* engine_;
-  std::unordered_map<TxnId, ClientTxn> txns_;
+  std::unordered_map<TxnId, TxnState> txns_;
 
   // Registered under tapir.gateway.s<site>.
   obs::Counter* slow_path_starts_ = nullptr;
@@ -131,8 +130,9 @@ class TapirEngine : public txn::TxnEngine {
   TapirReplica* replica(int partition, int r) {
     return replicas_[partition][r].get();
   }
+  /// The gateway serving clients at `site`; replicas reply through the
+  /// origin site each request names.
   TapirGateway* gateway_at(int site) { return gateways_[site].get(); }
-  TapirGateway* gateway_by_node(net::NodeId node);
 
   /// Index of the replica of `partition` closest to `site`.
   int NearestReplica(int partition, int site) const;
@@ -144,7 +144,6 @@ class TapirEngine : public txn::TxnEngine {
   txn::Cluster* cluster_;
   std::vector<std::vector<std::unique_ptr<TapirReplica>>> replicas_;
   std::vector<std::unique_ptr<TapirGateway>> gateways_;
-  std::unordered_map<net::NodeId, TapirGateway*> gateway_by_node_;
 };
 
 }  // namespace natto::tapir

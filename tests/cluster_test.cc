@@ -46,7 +46,7 @@ TEST(ClusterTest, RunsDeterministicallyFromSeed) {
     std::vector<SimTime> commits;
     for (int i = 0; i < 10; ++i) {
       c.simulator()->ScheduleAt(Millis(i * 10), [&c, &commits]() {
-        (void)c.group(0)->leader()->Propose(1, [&c, &commits]() {
+        (void)c.group(0)->leader()->Propose([&c, &commits]() {
           commits.push_back(c.simulator()->Now());
         });
       });
@@ -65,8 +65,8 @@ TEST(ClusterTest, RunsDeterministicallyFromSeed) {
   Cluster c1(net::LatencyMatrix::AzureFive(), Topology::Spread(1, 3, 5), o1);
   Cluster c2(net::LatencyMatrix::AzureFive(), Topology::Spread(1, 3, 5), o2);
   SimTime t1 = 0, t2 = 0;
-  (void)c1.group(0)->leader()->Propose(1, [&]() { t1 = c1.simulator()->Now(); });
-  (void)c2.group(0)->leader()->Propose(1, [&]() { t2 = c2.simulator()->Now(); });
+  (void)c1.group(0)->leader()->Propose([&]() { t1 = c1.simulator()->Now(); });
+  (void)c2.group(0)->leader()->Propose([&]() { t2 = c2.simulator()->Now(); });
   c1.simulator()->RunUntil(Seconds(2));
   c2.simulator()->RunUntil(Seconds(2));
   EXPECT_NE(t1, t2);
@@ -113,15 +113,14 @@ TEST(ClusterTest, SimThreadsEngagesSiteParallelWhenEligible) {
   ASSERT_TRUE(c.SiteParallelEligible());
   EXPECT_TRUE(c.simulator()->site_parallel());
   SimTime done = 0;
-  (void)c.group(0)->leader()->Propose(1,
-                                      [&]() { done = c.simulator()->Now(); });
+  (void)c.group(0)->leader()->Propose([&]() { done = c.simulator()->Now(); });
   c.simulator()->RunUntil(Seconds(2));
   ClusterOptions serial = NoSkew();
   Cluster s(net::LatencyMatrix::AzureFive(), Topology::Spread(3, 3, 5), serial);
   EXPECT_FALSE(s.simulator()->site_parallel());
   SimTime done_serial = 0;
   (void)s.group(0)->leader()->Propose(
-      1, [&]() { done_serial = s.simulator()->Now(); });
+      [&]() { done_serial = s.simulator()->Now(); });
   s.simulator()->RunUntil(Seconds(2));
   EXPECT_GT(done, 0);
   EXPECT_EQ(done, done_serial);
@@ -140,7 +139,7 @@ TEST(ClusterTest, SimThreadsRunsSerialKernelWhenIneligible) {
   EXPECT_EQ(c.simulator()->CurrentLane(), 0);
   SimTime done = 0;
   int done_lane = -1;
-  (void)c.group(0)->leader()->Propose(1, [&]() {
+  (void)c.group(0)->leader()->Propose([&]() {
     done = c.simulator()->Now();
     done_lane = c.simulator()->CurrentLane();
   });
@@ -150,7 +149,7 @@ TEST(ClusterTest, SimThreadsRunsSerialKernelWhenIneligible) {
   Cluster s(net::LatencyMatrix::AzureFive(), Topology::Spread(3, 3, 5), serial);
   SimTime done_serial = 0;
   (void)s.group(0)->leader()->Propose(
-      1, [&]() { done_serial = s.simulator()->Now(); });
+      [&]() { done_serial = s.simulator()->Now(); });
   s.simulator()->RunUntil(Seconds(2));
   EXPECT_GT(done, 0);
   EXPECT_EQ(done_lane, 0);

@@ -175,6 +175,15 @@ TEST(ClientHedgeTest, ColdStartUsesMinDelayThenTracksObservedPercentile) {
   EXPECT_EQ(client.HedgeDelay(true), Millis(10));
   EXPECT_EQ(client.HedgeDelay(false), Millis(10));
 
+  // With no sample minimum and nothing observed yet, there is no percentile
+  // to take: the floor again, not a read past the empty window.
+  harness::Client::Options no_minimum = HedgeOptions();
+  no_minimum.hedge_min_samples = 0;
+  harness::Client unsampled(&simulator, &engine, &workload, no_minimum,
+                            Rng(7), &stats);
+  EXPECT_EQ(unsampled.HedgeDelay(true), Millis(10));
+  EXPECT_EQ(unsampled.HedgeDelay(false), Millis(10));
+
   client.Start();
   simulator.Run();
 

@@ -255,9 +255,7 @@ class MultiCpTest : public ::testing::Test {
     w.write_set = keys;
     w.ts = cluster_->simulator()->Now() + Millis(1);
     w.est_arrivals = {{1, w.ts}, {2, arrival_at_2 > 0 ? arrival_at_2 : w.ts}};
-    w.coordinator = engine_.coordinator_at(1)->id();
-    w.client = engine_.gateway_at(1)->id();
-    w.coordinator_site = 1;
+    w.origin_site = 1;
     if (id == kLow) low_ts_ = w.ts;
     server_->HandleReadPrepare(w);
     cluster_->simulator()->RunUntil(w.ts + Millis(10));

@@ -2,7 +2,7 @@
 #include <cstdint>
 #include <vector>
 
-uint64_t NextPayloadId() {
+uint64_t NextRequestId() {
   static uint64_t next_id = 0;  // the exact PR 1 bug class
   return ++next_id;
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "raft/group.h"
@@ -33,7 +34,7 @@ TEST_F(RaftFixture, CommitsAfterMajorityRoundTrip) {
   auto g = MakeGroup({0, 1, 2});  // leader VA; followers WA, PR
   SimTime committed_at = -1;
   ASSERT_TRUE(g->leader()
-                  ->Propose(42, [&]() { committed_at = simulator.Now(); })
+                  ->Propose([&]() { committed_at = simulator.Now(); })
                   .ok());
   simulator.Run();
   // Majority = leader + nearest follower (WA, RTT 67 ms).
@@ -58,11 +59,10 @@ TEST_F(RaftFixture, GroupCommitCoalescesWindowedProposals) {
   for (int i = 0; i < 3; ++i) {
     simulator.ScheduleAfter(Millis(i), [&]() {
       ASSERT_TRUE(g->leader()
-                      ->Propose(1,
-                                [&]() {
-                                  ++commits;
-                                  last_commit_at = simulator.Now();
-                                })
+                      ->Propose([&]() {
+                        ++commits;
+                        last_commit_at = simulator.Now();
+                      })
                       .ok());
     });
   }
@@ -91,7 +91,7 @@ TEST_F(RaftFixture, ZeroWindowCoalescesOnlySameInstantProposals) {
   int commits = 0;
   for (int i = 0; i < 2; ++i) {
     simulator.ScheduleAfter(Millis(i), [&]() {
-      ASSERT_TRUE(g->leader()->Propose(1, [&]() { ++commits; }).ok());
+      ASSERT_TRUE(g->leader()->Propose([&]() { ++commits; }).ok());
     });
   }
   simulator.Run();
@@ -106,7 +106,7 @@ TEST_F(RaftFixture, ZeroWindowCoalescesOnlySameInstantProposals) {
 
 TEST_F(RaftFixture, FollowerProposeIsRejected) {
   auto g = MakeGroup({0, 1, 2});
-  Status s = g->replica(1)->Propose(1, []() {});
+  Status s = g->replica(1)->Propose([]() {});
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kUnavailable);
 }
@@ -114,7 +114,7 @@ TEST_F(RaftFixture, FollowerProposeIsRejected) {
 TEST_F(RaftFixture, SingleReplicaGroupCommitsImmediately) {
   auto g = MakeGroup({0});
   bool committed = false;
-  ASSERT_TRUE(g->leader()->Propose(1, [&]() { committed = true; }).ok());
+  ASSERT_TRUE(g->leader()->Propose([&]() { committed = true; }).ok());
   EXPECT_TRUE(committed);
 }
 
@@ -127,19 +127,16 @@ TEST_F(RaftFixture, ReentrantProposeFromCommitCallback) {
   RaftReplica* leader = g->leader();
   std::vector<int> fired;
   ASSERT_TRUE(leader
-                  ->Propose(1,
-                            [&]() {
-                              fired.push_back(1);
-                              for (int i = 3; i <= 102; ++i) {
-                                ASSERT_TRUE(leader
-                                                ->Propose(i, [&fired, i]() {
-                                                  fired.push_back(i);
-                                                })
-                                                .ok());
-                              }
-                            })
+                  ->Propose([&]() {
+                    fired.push_back(1);
+                    for (int i = 3; i <= 102; ++i) {
+                      ASSERT_TRUE(
+                          leader->Propose([&fired, i]() { fired.push_back(i); })
+                              .ok());
+                    }
+                  })
                   .ok());
-  ASSERT_TRUE(leader->Propose(2, [&]() { fired.push_back(2); }).ok());
+  ASSERT_TRUE(leader->Propose([&]() { fired.push_back(2); }).ok());
   simulator.Run();
   ASSERT_EQ(fired.size(), 102u);
   for (int i = 0; i < 102; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i + 1);
@@ -148,28 +145,28 @@ TEST_F(RaftFixture, ReentrantProposeFromCommitCallback) {
 
 TEST_F(RaftFixture, ManyEntriesCommitInOrderOnAllReplicas) {
   auto g = MakeGroup({0, 1, 2});
-  std::vector<std::vector<PayloadId>> applied(3);
+  // (index, term) of every entry each replica applies.
+  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> applied(3);
   for (int r = 0; r < 3; ++r) {
-    g->replica(r)->SetOnApply(
-        [&applied, r](PayloadId p) { applied[r].push_back(p); });
+    g->replica(r)->SetOnApply([&applied, r](uint64_t index, uint64_t term) {
+      applied[r].emplace_back(index, term);
+    });
   }
   const int kEntries = 50;
   int commits = 0;
   for (int i = 1; i <= kEntries; ++i) {
-    simulator.ScheduleAfter(Millis(i), [&, i]() {
-      ASSERT_TRUE(g->leader()
-                      ->Propose(static_cast<PayloadId>(i),
-                                [&commits]() { ++commits; })
-                      .ok());
+    simulator.ScheduleAfter(Millis(i), [&]() {
+      ASSERT_TRUE(g->leader()->Propose([&commits]() { ++commits; }).ok());
     });
   }
   simulator.Run();
   EXPECT_EQ(commits, kEntries);
-  // Every replica applied the same sequence 1..N.
+  // Every replica applied the same sequence: indices 1..N of term 1.
   for (int r = 0; r < 3; ++r) {
     ASSERT_EQ(applied[r].size(), static_cast<size_t>(kEntries)) << "r=" << r;
     for (int i = 0; i < kEntries; ++i) {
-      EXPECT_EQ(applied[r][i], static_cast<PayloadId>(i + 1));
+      EXPECT_EQ(applied[r][i],
+                std::make_pair(static_cast<uint64_t>(i + 1), uint64_t{1}));
     }
   }
 }
@@ -179,7 +176,7 @@ TEST_F(RaftFixture, BatchesUnderLoad) {
   int commits = 0;
   // 100 proposals in the same instant: replication must coalesce.
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(g->leader()->Propose(i, [&commits]() { ++commits; }).ok());
+    ASSERT_TRUE(g->leader()->Propose([&commits]() { ++commits; }).ok());
   }
   uint64_t before = transport.messages_sent();
   simulator.Run();
@@ -192,7 +189,7 @@ TEST_F(RaftFixture, ElectsNewLeaderAfterCrash) {
   auto g = MakeGroup({0, 1, 2});
   g->StartTimers();
   bool committed = false;
-  ASSERT_TRUE(g->leader()->Propose(7, [&]() { committed = true; }).ok());
+  ASSERT_TRUE(g->leader()->Propose([&]() { committed = true; }).ok());
   simulator.RunUntil(Seconds(1));
   EXPECT_TRUE(committed);
 
@@ -227,7 +224,7 @@ TEST_F(RaftFixture, NewLeaderAcceptsProposals) {
   }
   ASSERT_NE(new_leader, nullptr);
   bool committed = false;
-  ASSERT_TRUE(new_leader->Propose(99, [&]() { committed = true; }).ok());
+  ASSERT_TRUE(new_leader->Propose([&]() { committed = true; }).ok());
   simulator.RunUntil(Seconds(10));
   EXPECT_TRUE(committed);
 }
@@ -240,7 +237,7 @@ TEST_F(RaftFixture, MinorityPartitionedLeaderStepsDownAndCommitsResume) {
   auto g = MakeGroup({0, 1, 2});
   g->StartTimers();
   bool committed = false;
-  ASSERT_TRUE(g->leader()->Propose(1, [&]() { committed = true; }).ok());
+  ASSERT_TRUE(g->leader()->Propose([&]() { committed = true; }).ok());
   simulator.RunUntil(Seconds(1));
   ASSERT_TRUE(committed);
   ASSERT_TRUE(g->replica(0)->IsLeader());
@@ -278,7 +275,7 @@ TEST_F(RaftFixture, MinorityPartitionedLeaderStepsDownAndCommitsResume) {
   bool recommitted = false;
   bool failed = false;
   simulator.ScheduleAfter(Seconds(2), [&]() {
-    g->Propose(2, [&]() { recommitted = true; }, [&](bool) { failed = true; });
+    g->Propose([&]() { recommitted = true; }, [&](bool) { failed = true; });
   });
   simulator.RunUntil(Seconds(12));
   EXPECT_TRUE(recommitted);
@@ -308,7 +305,7 @@ TEST_F(RaftFixture, ProposeTimeoutFiresWhenAcceptingLeaderDies) {
 
   bool committed = false;
   bool timed_out = false;
-  g->Propose(7, [&]() { committed = true; },
+  g->Propose([&]() { committed = true; },
              [&](bool t) { timed_out = t; });
   // Kill the leader before any AppendEntries response can arrive (site 0
   // to the nearest follower is a >1 ms one-way in AzureFive).
@@ -320,7 +317,7 @@ TEST_F(RaftFixture, ProposeTimeoutFiresWhenAcceptingLeaderDies) {
   EXPECT_EQ(g->current_leader(), nullptr);
   bool sync_failed = false;
   bool sync_timed_out = true;
-  g->Propose(8, []() {}, [&](bool t) {
+  g->Propose([]() {}, [&](bool t) {
     sync_failed = true;
     sync_timed_out = t;
   });
@@ -331,6 +328,55 @@ TEST_F(RaftFixture, ProposeTimeoutFiresWhenAcceptingLeaderDies) {
   simulator.RunUntil(Millis(600));
   EXPECT_FALSE(committed);
   EXPECT_TRUE(timed_out);
+}
+
+// ProposeWithRetry with failure handling armed: the accepting leader
+// crashes after its AppendEntries reached the followers but before any ack
+// came back. The attempt times out, the retry commits under the re-elected
+// leader, and the callback fires exactly once — although the first
+// attempt's entry, already in the followers' logs, commits under the new
+// leader too, and the crashed leader later recovers and applies it.
+TEST_F(RaftFixture, ProposeWithRetryFiresOnceAcrossLeaderCrash) {
+  auto g = MakeGroup({0, 1, 2});
+  g->StartTimers();
+  g->EnableFailureHandling(/*propose_timeout=*/Millis(500));
+  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> applied(3);
+  for (int r = 0; r < 3; ++r) {
+    g->replica(r)->SetOnApply([&applied, r](uint64_t index, uint64_t term) {
+      applied[r].emplace_back(index, term);
+    });
+  }
+  simulator.RunUntil(Millis(10));
+
+  int fired = 0;
+  g->ProposeWithRetry([&]() { ++fired; });
+  // VA -> WA is 33.5 ms one way: at +40 ms the entry sits in WA's log and
+  // the ack is still in flight.
+  simulator.RunUntil(Millis(50));
+  EXPECT_EQ(g->replica(1)->log_size(), 1u);
+  EXPECT_EQ(g->replica(0)->commit_index(), 0u);
+  transport.SetNodeCrashed(g->replica(0)->id(), true);
+  g->replica(0)->SetCrashed(true);
+
+  simulator.RunUntil(Seconds(3));
+  EXPECT_EQ(fired, 1);
+  RaftReplica* new_leader = g->current_leader();
+  ASSERT_NE(new_leader, nullptr);
+  EXPECT_NE(new_leader, g->replica(0));
+  EXPECT_GT(new_leader->term(), 1u);
+
+  // The old leader recovers as a follower and catches up on both entries.
+  transport.SetNodeCrashed(g->replica(0)->id(), false);
+  g->replica(0)->SetCrashed(false);
+  simulator.RunUntil(Seconds(6));
+  EXPECT_EQ(fired, 1);
+  for (int r = 0; r < 3; ++r) {
+    // Index 1 is the first attempt's entry (term 1), index 2 the retry's.
+    ASSERT_GE(applied[r].size(), 2u) << "r=" << r;
+    EXPECT_EQ(applied[r][0], std::make_pair(uint64_t{1}, uint64_t{1}));
+    EXPECT_EQ(applied[r][1].first, 2u);
+    EXPECT_GT(applied[r][1].second, 1u);
+  }
 }
 
 // Pre-vote regression (Raft thesis §4.2.3): an isolated replica keeps
@@ -368,7 +414,7 @@ TEST_F(RaftFixture, PreVoteIsolatedReplicaRejoinsWithoutDeposingLeader) {
 
   // The group still commits (the rejoined replica catches up).
   bool committed = false;
-  ASSERT_TRUE(g->leader()->Propose(5, [&]() { committed = true; }).ok());
+  ASSERT_TRUE(g->leader()->Propose([&]() { committed = true; }).ok());
   simulator.RunUntil(Seconds(11));
   EXPECT_TRUE(committed);
 }
@@ -414,7 +460,7 @@ TEST_F(RaftFixture, TransferLeadershipHandsOffWithoutLosingCommits) {
   }
   g->StartTimers();
   bool committed = false;
-  ASSERT_TRUE(g->leader()->Propose(1, [&]() { committed = true; }).ok());
+  ASSERT_TRUE(g->leader()->Propose([&]() { committed = true; }).ok());
   simulator.RunUntil(Seconds(1));
   ASSERT_TRUE(committed);
   ASSERT_TRUE(g->replica(0)->IsLeader());
@@ -440,7 +486,7 @@ TEST_F(RaftFixture, TransferLeadershipHandsOffWithoutLosingCommits) {
   // The group tracked the handoff and commits flow through the new leader.
   EXPECT_EQ(g->leader(), new_leader);
   bool recommitted = false;
-  ASSERT_TRUE(new_leader->Propose(2, [&]() { recommitted = true; }).ok());
+  ASSERT_TRUE(new_leader->Propose([&]() { recommitted = true; }).ok());
   simulator.RunUntil(Seconds(5));
   EXPECT_TRUE(recommitted);
 }
@@ -479,7 +525,7 @@ TEST_F(RaftFixture, FailAwayTransfersOffFailSlowLeader) {
   int commits = 0;
   for (int i = 0; i < 60; ++i) {
     simulator.ScheduleAt(Seconds(1) + Millis(50) * i, [&]() {
-      g->Propose(9, [&]() { ++commits; }, [](bool) {});
+      g->Propose([&]() { ++commits; }, [](bool) {});
     });
   }
   simulator.RunUntil(Seconds(8));
@@ -528,7 +574,7 @@ TEST_F(RaftFixture, SuspicionElectsAwayFromGrayStalledLeader) {
 
 TEST_F(RaftFixture, QuiescentWithoutTimersAfterCommit) {
   auto g = MakeGroup({0, 1, 2});
-  ASSERT_TRUE(g->leader()->Propose(1, []() {}).ok());
+  ASSERT_TRUE(g->leader()->Propose([]() {}).ok());
   simulator.Run();  // must terminate (no heartbeat timers started)
   EXPECT_EQ(g->leader()->commit_index(), 1u);
 }

@@ -56,6 +56,45 @@ TEST_P(AllSystemsTest, SingleTransactionCommits) {
   EXPECT_EQ(engine->DebugValue(4), 1) << system.name;
 }
 
+TEST_P(AllSystemsTest, CommittedResultReportsReadsAndWrites) {
+  // TxnResult::reads/writes are the checker input: one ReadResult per
+  // read-set key in read-set order, and exactly the write computer's output,
+  // which the engine must then hold.
+  auto cluster = MakeCluster();
+  System system = MakeSystem(GetParam());
+  auto engine = system.make(cluster.get());
+  // Give key 9 a committed value first so the reads are not all defaults.
+  auto setup = ScheduleTxn(cluster.get(), engine.get(), Seconds(2),
+                           MakeTxnId(1, 1), txn::Priority::kLow, {9}, {9}, 0);
+  // Reads span three partitions, out of key order; writes hit a read key
+  // and a key outside the read set.
+  const std::vector<Key> read_set = {9, 2, 6};
+  txn::WriteComputer compute = [](const std::vector<txn::ReadResult>& reads) {
+    txn::WriteDecision d;
+    Value sum = 0;
+    for (const txn::ReadResult& r : reads) sum += r.value;
+    d.writes = {{2, sum + 5}, {13, reads[0].value + 42}};
+    return d;
+  };
+  auto probe = ScheduleTxn(cluster.get(), engine.get(), Seconds(4),
+                           MakeTxnId(1, 2), txn::Priority::kLow, read_set,
+                           {2, 13}, 3, compute);
+  cluster->simulator()->RunUntil(Seconds(10));
+  ASSERT_TRUE(setup->committed()) << system.name;
+  ASSERT_TRUE(probe->committed()) << system.name;
+
+  const txn::TxnResult& result = *probe->result;
+  ASSERT_EQ(result.reads.size(), read_set.size()) << system.name;
+  for (size_t i = 0; i < read_set.size(); ++i) {
+    EXPECT_EQ(result.reads[i].key, read_set[i]) << system.name;
+  }
+  EXPECT_EQ(result.reads[0].value, 1) << system.name;
+  EXPECT_EQ(result.writes, compute(result.reads).writes) << system.name;
+  for (const auto& [k, v] : result.writes) {
+    EXPECT_EQ(engine->DebugValue(k), v) << system.name << ": key " << k;
+  }
+}
+
 TEST_P(AllSystemsTest, IncrementHistoryIsSerializable) {
   auto cluster = MakeCluster(/*seed=*/99);
   System system = MakeSystem(GetParam());

@@ -448,6 +448,48 @@ TEST(CalendarQueueTest, SteadyStateChurnsWithoutGrowingThePool) {
   EXPECT_TRUE(q.empty());
 }
 
+TEST(CalendarQueueTest, SmallerSeqPushedLaterPopsInTimeSeqOrder) {
+  // The site-parallel kernel pushes provisional seqs (high bit set) inside
+  // a window and smaller canonical seqs at the barrier, so seqs are not
+  // monotone across pushes. The queue needs only that pending nodes with
+  // equal time were pushed in seq order; pops must still follow (time, seq)
+  // as the reference heap orders them, in the ring and across the overflow
+  // horizon.
+  constexpr uint64_t kProvisional = uint64_t{1} << 63;
+  constexpr SimTime kHorizon = CalendarQueue::kNumBuckets
+                               << CalendarQueue::kBucketShift;
+  CalendarQueue q;
+  std::priority_queue<std::pair<SimTime, uint64_t>,
+                      std::vector<std::pair<SimTime, uint64_t>>,
+                      std::greater<>>
+      ref;
+  auto push = [&](SimTime t, uint64_t seq) {
+    q.Push(t, seq, EventFn([]() {}));
+    ref.emplace(t, seq);
+  };
+  auto pop_and_check = [&]() {
+    EventNode* n = q.PopIfAtMost(kSimTimeMax);
+    ASSERT_NE(n, nullptr);
+    ASSERT_FALSE(ref.empty());
+    EXPECT_EQ(std::make_pair(n->time, n->seq), ref.top());
+    ref.pop();
+    q.AdvanceTo(n->time);
+    q.Recycle(n);
+  };
+  push(100, kProvisional | 0);
+  push(100, kProvisional | 1);
+  push(101, 3);  // smaller seq, later time, same bucket
+  push(200, 4);  // smaller seq, later time, later bucket
+  push(200, 5);
+  push(kHorizon + 50, kProvisional | 2);  // overflow
+  push(kHorizon + 60, 6);                 // smaller seq behind it
+  pop_and_check();                        // (100, provisional 0)
+  push(150, 7);
+  push(kHorizon + 50, kProvisional | 3);  // equal time, pushed in seq order
+  while (!ref.empty()) pop_and_check();
+  EXPECT_TRUE(q.empty());
+}
+
 // ---------------------------------------------------------------------------
 // EventFn: capacity sizing, move-only semantics, heap fallback.
 // ---------------------------------------------------------------------------
@@ -456,17 +498,17 @@ TEST(EventFnTest, InlineCapacityCoversTheMeasuredHotPathClosures) {
   // Capture shapes measured from the protocol delivery paths (the numbers
   // DESIGN.md §4.8 cites), as sizeof of the real captures on x86-64:
   //   vote send           coordinator pointer + 72-byte NattoVote = 80
-  //   begin delivery      pointer + 112-byte NattoWireTxn + participants
-  //                       vector = 144 (the largest)
-  //   read-prepare        pointer + NattoWireTxn = 120
-  //   prepare completion  raft on_committed [this, id, version, coord,
-  //                       span name] = 32
+  //   begin delivery      pointer + 104-byte NattoWireTxn + participants
+  //                       vector = 136 (the largest)
+  //   read-prepare        pointer + NattoWireTxn = 112
+  //   prepare completion  raft on_committed [this, id, version, origin
+  //                       site, span name] = 32
   //   transport delivery  {Transport*, Envelope*} = 16
   // If a hot-path closure outgrows the capacity this static picture goes
   // stale — re-measure before bumping kInlineCapacity.
   auto vote_send = [p = std::array<char, 80>()]() { (void)p; };
-  auto wire_txn_delivery = [p = std::array<char, 144>()]() { (void)p; };
-  auto read_prepare = [p = std::array<char, 120>()]() { (void)p; };
+  auto wire_txn_delivery = [p = std::array<char, 136>()]() { (void)p; };
+  auto read_prepare = [p = std::array<char, 112>()]() { (void)p; };
   auto prepare_completion = [p = std::array<char, 32>()]() { (void)p; };
   auto transport_envelope = [p = std::array<char, 16>()]() { (void)p; };
   static_assert(sizeof(vote_send) <= EventFn::kInlineCapacity);
